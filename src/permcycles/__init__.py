@@ -15,7 +15,6 @@ from .rng import RngStream
 from .sampler import (
     Permutation,
     PermutationSampler,
-    sample_permutation,
     cycle_length_distribution,
     cycles_of,
 )

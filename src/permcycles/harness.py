@@ -7,6 +7,10 @@ random stream keyed (seed, lane, i), and reduction happens in replicate
 order, so reports are byte-identical regardless of how many worker
 processes computed them.
 
+Each run builds the normalization table once, in the calling process, and
+ships it inside every chunk task.  A worker builds a fresh sampler per task
+and holds no state between tasks.
+
 RNG lanes: 0 = permutation draws, 1 = limit-process simulation,
 2 = spacing-mixture reference draws.
 """
@@ -52,7 +56,7 @@ from .point_process import (
 )
 from .rng import RngStream
 from .sampler import PermutationSampler
-from .weights import WeightSequence, norm_constants, parse_weights
+from .weights import NormalizationTable, WeightSequence, norm_constants, parse_weights
 
 __all__ = [
     "ExperimentConfig",
@@ -241,18 +245,6 @@ def _clean(value):
 # Worker-side chunk evaluation
 # ---------------------------------------------------------------------------
 
-_WORKER_SAMPLERS: dict = {}
-
-
-def _sampler_for(ws: WeightSequence, n: int) -> PermutationSampler:
-    key = (ws, n)
-    sampler = _WORKER_SAMPLERS.get(key)
-    if sampler is None:
-        sampler = PermutationSampler(ws, norm_constants(ws, n))
-        _WORKER_SAMPLERS[key] = sampler
-    return sampler
-
-
 def _scaled_statistic_fn(statistic: str, n: int):
     name, _, arg = statistic.partition(":")
     if statistic == "S1":
@@ -277,14 +269,19 @@ def _scaled_statistic_fn(statistic: str, n: int):
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
+def _draws(ws: WeightSequence, table: NormalizationTable, seed: int, start: int, stop: int):
+    """Permutations of replicates start..stop-1 from a sampler private to one chunk."""
+    sampler = PermutationSampler(ws, table)
+    for i in range(start, stop):
+        yield sampler.sample(table.n_max, RngStream(seed, (_LANE_PERM, i)))
+
+
 def _run_chunk(task):
     kind = task[0]
     if kind == "counts":
-        _, ws, n, seed, k_max, start, stop = task
-        sampler = _sampler_for(ws, n)
+        _, ws, table, seed, k_max, start, stop = task
         out = []
-        for i in range(start, stop):
-            perm = sampler.sample(n, RngStream(seed, (_LANE_PERM, i)))
+        for perm in _draws(ws, table, seed, start, stop):
             row = [0] * k_max
             for c in perm.cycles:
                 if len(c) <= k_max:
@@ -292,22 +289,14 @@ def _run_chunk(task):
             out.append(tuple(row))
         return out
     if kind == "stat":
-        _, ws, n, seed, statistic, start, stop = task
-        sampler = _sampler_for(ws, n)
-        stat = _scaled_statistic_fn(statistic, n)
-        return [
-            stat(sampler.sample(n, RngStream(seed, (_LANE_PERM, i))))
-            for i in range(start, stop)
-        ]
+        _, ws, table, seed, statistic, start, stop = task
+        stat = _scaled_statistic_fn(statistic, table.n_max)
+        return [stat(perm) for perm in _draws(ws, table, seed, start, stop)]
     if kind == "avoid":
-        _, ws, n, seed, boxes_text, start, stop = task
-        sampler = _sampler_for(ws, n)
+        _, ws, table, seed, boxes_text, start, stop = task
         union = parse_boxes(boxes_text)
-        out = []
-        for i in range(start, stop):
-            perm = sampler.sample(n, RngStream(seed, (_LANE_PERM, i)))
-            out.append(count_in(point_measure(perm), union))
-        return out
+        draws = _draws(ws, table, seed, start, stop)
+        return [count_in(point_measure(perm), union) for perm in draws]
     if kind == "limit_avoid":
         _, ws, k_cap, seed, boxes_text, start, stop = task
         union = parse_boxes(boxes_text)
@@ -350,18 +339,29 @@ def _metadata(ws: WeightSequence) -> dict:
 
 
 def _poisson_pmf_dict(theta_k: float, k: int, tail_eps: float = 1e-12) -> dict[int, float]:
+    """Poisson(theta_k / k) pmf on 0..J, J the first j >= mean leaving < tail_eps mass above.
+
+    Terms are computed in log space, so a large mean cannot underflow them.
+    Beyond mean + 10 sqrt(mean) + 40 the true tail is far below ``tail_eps``,
+    so mass still missing there was lost to rounding and the function raises.
+    """
     mean = theta_k / k
+    if mean == 0.0:
+        return {0: 1.0}
+    if not math.isfinite(mean):
+        raise ValueError(f"Poisson mean {mean!r} for {k}-cycles is not finite")
+    log_mean = math.log(mean)
     out: dict[int, float] = {}
-    pmf = math.exp(-mean)
     cum = 0.0
-    j = 0
-    while True:
-        out[j] = pmf
-        cum += pmf
-        if (1.0 - cum < tail_eps and j >= mean) or j >= 400:
+    for j in range(math.ceil(mean + 10.0 * math.sqrt(mean)) + 41):
+        out[j] = math.exp(j * log_mean - mean - math.lgamma(j + 1))
+        cum += out[j]
+        if 1.0 - cum < tail_eps and j >= mean:
             return out
-        j += 1
-        pmf *= mean / j
+    raise ValueError(
+        f"Poisson({mean!r}) pmf for {k}-cycles sums to {cum!r} by j = {j}; "
+        f"cannot cover all but {tail_eps:g} of its mass"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +374,9 @@ def run_counts_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.kind != "counts":
         raise ValueError(f"config kind is {cfg.kind!r}, not 'counts'")
     ws = parse_weights(cfg.weights)
+    table = norm_constants(ws, cfg.n)
     tasks = [
-        ("counts", ws, cfg.n, cfg.seed, cfg.k_max, s, e)
+        ("counts", ws, table, cfg.seed, cfg.k_max, s, e)
         for s, e in _chunk_bounds(cfg.replicates, cfg.workers)
     ]
     records = _map_chunks(tasks, cfg.workers)
@@ -447,8 +448,9 @@ def run_avoidance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     limit_p = math.exp(-lam)
     n_rep = cfg.replicates
 
+    table = norm_constants(ws, cfg.n)
     tasks = [
-        ("avoid", ws, cfg.n, cfg.seed, cfg.boxes, s, e)
+        ("avoid", ws, table, cfg.seed, cfg.boxes, s, e)
         for s, e in _chunk_bounds(n_rep, cfg.workers)
     ]
     counts = np.asarray(_map_chunks(tasks, cfg.workers), dtype=np.int64)
@@ -526,8 +528,9 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     atoms = law_atoms(law, theta, k)
     n_rep = cfg.replicates
 
+    table = norm_constants(ws, cfg.n)
     tasks = [
-        ("stat", ws, cfg.n, cfg.seed, cfg.statistic, s, e)
+        ("stat", ws, table, cfg.seed, cfg.statistic, s, e)
         for s, e in _chunk_bounds(n_rep, cfg.workers)
     ]
     samples = np.asarray(_map_chunks(tasks, cfg.workers), dtype=float)

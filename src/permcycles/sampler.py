@@ -31,7 +31,6 @@ from .weights import (
 __all__ = [
     "Permutation",
     "PermutationSampler",
-    "sample_permutation",
     "cycle_length_distribution",
     "cycles_of",
 ]
@@ -194,17 +193,3 @@ class PermutationSampler:
         perm.__dict__["cycles"] = tuple(cycles)
         return perm
 
-
-_SAMPLERS: dict[tuple[WeightSequence, int], PermutationSampler] = {}
-
-
-def sample_permutation(
-    ws: WeightSequence, table: NormalizationTable, n: int, rng: RngStream
-) -> Permutation:
-    """One draw from the weighted measure on S_n (module-level sampler cache)."""
-    key = (ws, id(table))
-    sampler = _SAMPLERS.get(key)
-    if sampler is None or sampler.table is not table:
-        sampler = PermutationSampler(ws, table)
-        _SAMPLERS[key] = sampler
-    return sampler.sample(n, rng)

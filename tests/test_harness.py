@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from permcycles import harness
 from permcycles import (
     ExperimentConfig,
     ExperimentReport,
@@ -13,7 +14,7 @@ from permcycles import (
     run_counts_experiment,
     run_experiment,
 )
-from permcycles.harness import write_replicates_csv
+from permcycles.harness import _poisson_pmf_dict, write_replicates_csv
 
 
 def _cfg(**kwargs):
@@ -151,6 +152,35 @@ def test_counts_against_oracle_self_consistency():
         assert entry["tv_distance"] < 0.005
 
 
+def _iterated_poisson_pmf(mean, tail_eps=1e-12):
+    """Poisson pmf by the ratio p_j = p_{j-1} * mean / j, for small means only."""
+    out, pmf, cum, j = {}, math.exp(-mean), 0.0, 0
+    while True:
+        out[j] = pmf
+        cum += pmf
+        if 1.0 - cum < tail_eps and j >= mean:
+            return out
+        j += 1
+        pmf *= mean / j
+
+
+def test_poisson_pmf_unchanged_for_small_means():
+    for k in range(1, 7):
+        ref = _iterated_poisson_pmf(1.5 / k)
+        got = _poisson_pmf_dict(1.5, k)
+        assert got.keys() == ref.keys()
+        assert all(abs(got[j] - ref[j]) <= 1e-15 for j in ref)
+
+
+def test_poisson_pmf_covers_large_means():
+    # exp(-800) underflows, so a pmf started from p_0 = exp(-mean) is all zeros
+    pmf = _poisson_pmf_dict(800.0, 1)
+    assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
+    assert math.fsum(j * p for j, p in pmf.items()) == pytest.approx(800.0, rel=1e-6)
+    with pytest.raises(ValueError):
+        _poisson_pmf_dict(math.inf, 1)
+
+
 def test_counts_kind_guard():
     with pytest.raises(ValueError):
         run_counts_experiment(_cfg(kind="cdf", statistic="S1"))
@@ -267,6 +297,28 @@ def test_reports_identical_across_worker_counts():
             report = run_experiment(_cfg(workers=workers, seed=5, **kind_kwargs))
             texts.append(report.to_json())
         assert texts[0] == texts[1] == texts[2]
+
+
+def test_run_builds_its_table_once_in_the_caller(monkeypatch):
+    builds = []
+    build = harness.norm_constants
+
+    def counted(ws, n_max):
+        builds.append(n_max)
+        return build(ws, n_max)
+
+    monkeypatch.setattr(harness, "norm_constants", counted)
+    for kind_kwargs in (
+        dict(kind="counts", n=30, replicates=40, k_max=2),
+        dict(kind="cdf", statistic="M", n=50, replicates=40),
+        dict(kind="avoidance", boxes="box:k=1;0,0.5", n=40, replicates=40),
+    ):
+        texts = []
+        for workers in (1, 2):
+            builds.clear()
+            texts.append(run_experiment(_cfg(workers=workers, seed=3, **kind_kwargs)).to_json())
+            assert builds == [kind_kwargs["n"]]
+        assert texts[0] == texts[1]
 
 
 def test_rerun_is_reproducible():

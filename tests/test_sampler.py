@@ -19,7 +19,6 @@ from permcycles import (
     cycles_of,
     exact_statistic_distribution,
     norm_constants,
-    sample_permutation,
 )
 
 
@@ -151,15 +150,6 @@ def test_sample_degenerate_model():
     sampler = PermutationSampler(ws, norm_constants(ws, 4))
     with pytest.raises(DegenerateModelError):
         sampler.sample(2, RngStream(0, 0))
-
-
-def test_sample_permutation_convenience():
-    ws = WeightSequence.ewens(2.0)
-    table = norm_constants(ws, 30)
-    a = sample_permutation(ws, table, 30, RngStream(3, 0))
-    b = sample_permutation(ws, table, 30, RngStream(3, 0))
-    assert a == b
-    assert a.n == 30
 
 
 @settings(max_examples=40)

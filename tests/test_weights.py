@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.special import logsumexp
 from hypothesis import strategies as st
 
 from conftest import FAMILIES
@@ -194,6 +195,32 @@ def test_recurrence_residual(ws, n):
     table = norm_constants(ws, n)
     total = math.fsum(ws.theta(k) * table.h(n - k) for k in range(1, n + 1))
     assert total == pytest.approx(n * table.h(n), rel=1e-12)
+
+
+def _reference_log_h(ws, n_max):
+    """The recurrence with one scipy logsumexp call per step."""
+    log_theta = ws.log_theta_array(n_max)
+    log_h = np.full(n_max + 1, -np.inf)
+    log_h[0] = 0.0
+    for n in range(1, n_max + 1):
+        log_h[n] = logsumexp(log_theta[1:n + 1] + log_h[n - 1::-1]) - math.log(n)
+    return log_h
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [ws for _, ws in FAMILIES]
+    + [parse_weights("list:0,0,1.5;tail=zero"), parse_weights("list:0,1")],
+    ids=[name for name, _ in FAMILIES] + ["only_3_cycles", "no_fixed_points"],
+)
+def test_norm_constants_matches_scipy_reference(ws):
+    ref = _reference_log_h(ws, 1500)
+    got = norm_constants(ws, 1500).log_h
+    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.isfinite(got[finite]))
+    gap = np.abs(got[finite] - ref[finite])
+    assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
 
 
 def test_norm_constants_rejects_negative_n():
