@@ -2,10 +2,12 @@
 
 Each pair runs the unchanged benchmark once in each of two checkouts, on the
 same seed, alternating which side goes first.  Every JSON line the benchmark
-prints is kept raw, with its seed, its position in the pair and a SHA-256 of
-the checkout's ``src/`` tree; a summary gives each side's median and
-quartiles and how many pairs the change won, per workload and metric.
-Each call appends one such set to ``--out``.
+prints is kept raw, with its seed and its position in the pair.  Each side is
+named by its commit and a SHA-256 of its ``src/`` tree; the commit is null
+when ``src/`` has uncommitted changes.  A summary gives each side's median
+and quartiles and how many pairs the change won, per workload and metric.
+Each call appends one such set to ``--out``.  The run length is
+``run_seconds`` of the change's ``BENCHMARK.json``, the same on both sides.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -30,9 +32,14 @@ def src_digest(root: Path) -> str:
 
 
 def commit_of(root: Path):
-    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+    """HEAD of the checkout, or None when its ``src/`` differs from HEAD."""
+    head = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    dirty = subprocess.run(["git", "-C", str(root), "status", "--porcelain", "--", "src"],
+                           capture_output=True, text=True)
+    if head.returncode or dirty.returncode or dirty.stdout.strip():
+        return None
+    return head.stdout.strip()
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -69,17 +76,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     record = {
         "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "commit": {side: commit_of(root) for side, root in roots.items()},
         "src_sha256": {side: src_digest(root) for side, root in roots.items()},
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "trace": args.trace,
         "runs": [],
     }
@@ -88,12 +95,11 @@ def main(argv=None) -> int:
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
-                result = bench(roots[side], wl, seed, args.seconds, args.trace)
+                result = bench(roots[side], wl, seed, spec["run_seconds"], args.trace)
                 record["runs"].append({"workload": wl, "pair": i, "seed": seed,
                                        "side": side, "position": position,
                                        "result": result})
                 print(json.dumps(record["runs"][-1]), flush=True)
-    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     record["summary"] = summarize(record["runs"], better)
     bench_file = json.loads(args.out.read_text()) if args.out.exists() else {"sets": []}

@@ -341,9 +341,11 @@ def _metadata(ws: WeightSequence) -> dict:
 def _poisson_pmf_dict(theta_k: float, k: int, tail_eps: float = 1e-12) -> dict[int, float]:
     """Poisson(theta_k / k) pmf on 0..J, J the first j >= mean leaving < tail_eps mass above.
 
-    Terms are computed in log space, so a large mean cannot underflow them.
-    Beyond mean + 10 sqrt(mean) + 40 the true tail is far below ``tail_eps``,
-    so mass still missing there was lost to rounding and the function raises.
+    Terms are computed in log space, so a large mean cannot underflow them, on
+    0..mean + 10 sqrt(mean) + 40, beyond which the true tail is far below
+    ``tail_eps``.  Rounding in j log(mean) grows like eps * mean, so the terms
+    are divided by their sum; a sum off 1 by more than 1e-6 is more than
+    rounding, and the function raises.
     """
     mean = theta_k / k
     if mean == 0.0:
@@ -351,17 +353,17 @@ def _poisson_pmf_dict(theta_k: float, k: int, tail_eps: float = 1e-12) -> dict[i
     if not math.isfinite(mean):
         raise ValueError(f"Poisson mean {mean!r} for {k}-cycles is not finite")
     log_mean = math.log(mean)
-    out: dict[int, float] = {}
-    cum = 0.0
-    for j in range(math.ceil(mean + 10.0 * math.sqrt(mean)) + 41):
-        out[j] = math.exp(j * log_mean - mean - math.lgamma(j + 1))
-        cum += out[j]
-        if 1.0 - cum < tail_eps and j >= mean:
-            return out
-    raise ValueError(
-        f"Poisson({mean!r}) pmf for {k}-cycles sums to {cum!r} by j = {j}; "
-        f"cannot cover all but {tail_eps:g} of its mass"
-    )
+    j_top = math.ceil(mean + 10.0 * math.sqrt(mean)) + 40
+    terms = [math.exp(j * log_mean - mean - math.lgamma(j + 1)) for j in range(j_top + 1)]
+    total = math.fsum(terms)
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"Poisson({mean!r}) pmf for {k}-cycles sums to {total!r} on 0..{j_top}")
+    # the tail is summed from the top, so it keeps its precision however small
+    j_end, above = j_top, 0.0
+    while j_end - 1 >= mean and (above + terms[j_end]) / total < tail_eps:
+        above += terms[j_end]
+        j_end -= 1
+    return {j: terms[j] / total for j in range(j_end + 1)}
 
 
 # ---------------------------------------------------------------------------

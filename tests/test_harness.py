@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from permcycles import harness
@@ -179,6 +180,21 @@ def test_poisson_pmf_covers_large_means():
     assert math.fsum(j * p for j, p in pmf.items()) == pytest.approx(800.0, rel=1e-6)
     with pytest.raises(ValueError):
         _poisson_pmf_dict(math.inf, 1)
+
+
+def test_poisson_pmf_survives_rounding_at_a_mean_of_a_million():
+    # j log(mean) carries ~1e-9 relative rounding here, more than the 1e-12 tail
+    from scipy.stats import poisson
+
+    mean = 1e6
+    pmf = _poisson_pmf_dict(mean, 1)
+    js = np.fromiter(pmf.keys(), dtype=np.int64)
+    ps = np.fromiter(pmf.values(), dtype=float)
+    assert math.fsum(ps) == pytest.approx(1.0, abs=1e-9)
+    assert math.fsum(js * ps) == pytest.approx(mean, rel=1e-9)
+    assert poisson.sf(js[-1], mean) < 1e-12 <= poisson.sf(js[-1] - 1, mean)
+    bulk = np.abs(js - mean) <= 5e3
+    assert np.allclose(ps[bulk], poisson.pmf(js[bulk], mean), rtol=1e-6, atol=0.0)
 
 
 def test_counts_kind_guard():
