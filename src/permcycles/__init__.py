@@ -4,7 +4,6 @@ point processes, and verification of their limiting laws."""
 from .weights import (
     WeightSequence,
     NormalizationTable,
-    LogWeight,
     norm_constants,
     stability_diagnostic,
     parse_weights,
@@ -16,7 +15,6 @@ from .sampler import (
     Permutation,
     PermutationSampler,
     cycle_length_distribution,
-    cycles_of,
 )
 from .point_process import (
     Interval,

@@ -55,7 +55,7 @@ from .point_process import (
     tail_intensity_mass,
 )
 from .rng import RngStream
-from .sampler import PermutationSampler
+from .sampler import SAMPLER_VERSION, PermutationSampler
 from .weights import NormalizationTable, WeightSequence, norm_constants, parse_weights
 
 __all__ = [
@@ -66,11 +66,6 @@ __all__ = [
     "run_avoidance_experiment",
     "run_cdf_experiment",
     "write_replicates_csv",
-    "empirical_cdf",
-    "ks_distance",
-    "ks_two_sample",
-    "tv_distance",
-    "chi_square_gof",
 ]
 
 try:
@@ -329,6 +324,7 @@ def _metadata(ws: WeightSequence) -> dict:
     return {
         "package": f"permcycles {_VERSION}",
         "bit_generator": "Philox",
+        "sampler": SAMPLER_VERSION,
         "rng_lanes": {"permutations": 0, "limit_process": 1, "mixture": 2},
         "weights": ws.spec_string(),
         "conventions": {

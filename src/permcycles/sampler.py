@@ -1,20 +1,33 @@
 """Exact sampling of permutations under cycle weights.
 
-The sampler builds the permutation cycle by cycle.  At each step the
-smallest element not yet placed opens a new cycle; the cycle's length is
-drawn from the exact conditional law at the current remaining size,
+A draw has two steps.  First the cycle lengths k_1, k_2, ... are drawn one
+after another: with m elements not yet assigned to a cycle, the next length
+follows the exact law of the length of the cycle through the smallest of
+them,
 
-    P(length = k | m unplaced) = theta_k * h_{m-k} / (m * h_m),
+    P(length = k | m unassigned) = theta_k * h_{m-k} / (m * h_m),
 
-its companions are then drawn uniformly without replacement from the other
-unplaced elements, and the order in which they come out fixes the cycle.
-Sequential uniform draws make every arrangement of the companions equally
-likely, so no extra shuffle is needed.  Exactness of the whole scheme is
-gated against full enumeration in the test suite.
+until m reaches 0.  Then one uniform permutation of 1..n is cut into
+consecutive blocks of lengths k_1, k_2, ...; each block, read left to right,
+is one cycle.  The cycles are stored smallest element first, in increasing
+order of their minima.
+
+The weight of a permutation depends only on its cycle type, so given the
+cycle type the weighted measure is uniform on the conjugacy class
+(Arratia-Barbour-Tavare, Logarithmic Combinatorial Structures, 2003;
+Betz-Ueltschi-Velenik, AAP 2011).  The length sequence has the law of the
+cycle lengths listed by increasing minimum, so the cycle type has the
+weighted law.  Cutting a uniform arrangement into blocks of fixed lengths
+reaches each permutation of that cycle type in prod_j k_j * prod_l c_l!
+ways (c_l the number of l-cycles: every cycle may start at any of its
+elements, and cycles of equal length may trade blocks), the same count for
+all of them, so the result is uniform on the class.  Exactness is gated
+against full enumeration in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,8 +45,14 @@ __all__ = [
     "Permutation",
     "PermutationSampler",
     "cycle_length_distribution",
-    "cycles_of",
 ]
+
+# Names how a draw consumes randomness; reports carry it in their metadata.
+SAMPLER_VERSION = "cycle lengths, then one uniform permutation cut into blocks (v2)"
+
+# How many remaining sizes a sampler keeps cumulative length laws for; each
+# law is an O(m) array, so an unbounded cache grows to n^2/2 floats.
+_CUM_CACHE_SIZE = 64
 
 
 def _trace_cycles(image: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -101,11 +120,6 @@ class Permutation:
         return self.image[i - 1]
 
 
-def cycles_of(perm: Permutation) -> tuple[tuple[int, ...], ...]:
-    """Recompute the canonical cycle decomposition from the image."""
-    return _trace_cycles(perm.image)
-
-
 def cycle_length_distribution(
     ws: WeightSequence, table: NormalizationTable, m: int
 ) -> np.ndarray:
@@ -122,29 +136,29 @@ def cycle_length_distribution(
     log_h = table.log_h
     if np.isneginf(log_h[m]):
         raise DegenerateModelError(f"h_{m} = 0: no positive-weight permutation of [{m}]")
-    ks = np.arange(1, m + 1)
     log_p = (
         ws.log_theta_array(m)[1:]
-        + log_h[m - ks]
+        + log_h[m - 1::-1]                 # log h_{m-k} for k = 1..m
         - (math.log(m) + log_h[m])
     )
     return np.exp(log_p)
 
 
 class PermutationSampler:
-    """Reusable sampler for one weight sequence; caches per-size length tables."""
+    """Reusable sampler for one weight sequence.
+
+    Keeps the cumulative length laws of the ``_CUM_CACHE_SIZE`` most recently
+    used remaining sizes, so its memory stays bounded however many
+    permutations it draws.
+    """
 
     def __init__(self, ws: WeightSequence, table: NormalizationTable):
         self.ws = ws
         self.table = table
-        self._cum: dict[int, np.ndarray] = {}
+        self._cumulative = functools.lru_cache(maxsize=_CUM_CACHE_SIZE)(self._cumulative_law)
 
-    def _cumulative(self, m: int) -> np.ndarray:
-        cum = self._cum.get(m)
-        if cum is None:
-            cum = np.cumsum(cycle_length_distribution(self.ws, self.table, m))
-            self._cum[m] = cum
-        return cum
+    def _cumulative_law(self, m: int) -> np.ndarray:
+        return np.cumsum(cycle_length_distribution(self.ws, self.table, m))
 
     def sample(self, n: int, rng: RngStream) -> Permutation:
         if n < 1:
@@ -152,44 +166,33 @@ class PermutationSampler:
         if n > self.table.n_max:
             raise ValueError(f"n={n} outside table range 0..{self.table.n_max}")
         gen = rng.gen
-        image = [0] * (n + 1)
-        pool = list(range(1, n + 1))       # unplaced elements, unordered
-        pos = list(range(-1, n))           # pos[e] = index of e in pool
-        cycles = []
-        leader = 1
+        starts = []
         m = n
         while m:
-            while image[leader]:
-                leader += 1
             cum = self._cumulative(m)
             u = gen.random() * cum[-1]
-            k = int(np.searchsorted(cum, u, side="right")) + 1
+            k = int(cum.searchsorted(u, side="right")) + 1
             if k > m:                      # guard the u ~ cum[-1] rounding edge
                 k = m
-
-            i = pos[leader]                # remove the leader from the pool
-            last = pool[-1]
-            pool[i] = last
-            pos[last] = i
-            pool.pop()
-
-            cyc = [leader]
-            prev = leader
-            if k > 1:
-                for idx in gen.integers(0, np.arange(m - 1, m - k, -1)):
-                    e = pool[idx]
-                    last = pool[-1]
-                    pool[idx] = last
-                    pos[last] = idx
-                    pool.pop()
-                    image[prev] = e
-                    cyc.append(e)
-                    prev = e
-            image[prev] = leader
-            cycles.append(tuple(cyc))
+            starts.append(n - m)
             m -= k
 
-        perm = Permutation(n, tuple(image[1:]))
+        # Cut a uniform arrangement of 1..n into consecutive blocks of the
+        # drawn lengths; each block is one cycle.
+        ends = starts[1:] + [n]
+        order = gen.permutation(n) + 1
+        succ = np.arange(1, n + 1)         # position of the next element on the cycle
+        succ[np.subtract(ends, 1)] = starts
+        image = np.empty_like(order)
+        image[order - 1] = order[succ]
+
+        flat = order.tolist()
+        cycles = []
+        for a, b in zip(starts, ends):
+            block = flat[a:b]
+            i = block.index(min(block))
+            cycles.append(tuple(block[i:] + block[:i]))
+        cycles.sort()                      # minima are distinct: orders by minimum
+        perm = Permutation(n, tuple(image.tolist()))
         perm.__dict__["cycles"] = tuple(cycles)
         return perm
-

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "WeightSequence",
-    "LogWeight",
     "NormalizationTable",
     "norm_constants",
     "stability_diagnostic",
@@ -42,26 +41,6 @@ class DegenerateModelError(ValueError):
 
 _KINDS = ("uniform", "ewens", "polynomial", "explicit")
 _TAILS = ("const", "zero")
-
-
-@dataclass(frozen=True)
-class LogWeight:
-    """A non-negative quantity stored as its natural log (-inf encodes 0)."""
-
-    log_value: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogWeight":
-        if value < 0:
-            raise ValueError(f"negative value {value!r} has no log representation")
-        return cls(-math.inf if value == 0 else math.log(value))
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-    def __mul__(self, other: "LogWeight") -> "LogWeight":
-        return LogWeight(self.log_value + other.log_value)
 
 
 @dataclass(frozen=True)
@@ -245,11 +224,6 @@ class NormalizationTable:
         if n < 0 or n > self.n_max:
             raise ValueError(f"n={n} outside table range 0..{self.n_max}")
         return math.exp(self.log_h[n])
-
-    def log_weight(self, n: int) -> LogWeight:
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"n={n} outside table range 0..{self.n_max}")
-        return LogWeight(float(self.log_h[n]))
 
 
 def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:

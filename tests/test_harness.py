@@ -16,6 +16,7 @@ from permcycles import (
     run_experiment,
 )
 from permcycles.harness import _poisson_pmf_dict, write_replicates_csv
+from permcycles.sampler import SAMPLER_VERSION
 
 
 def _cfg(**kwargs):
@@ -125,6 +126,7 @@ def test_counts_experiment_report_shape():
     assert set(payload) == {"config", "metadata", "results"}
     assert "workers" not in payload["config"]
     assert payload["metadata"]["weights"] == "ewens:2.0"
+    assert payload["metadata"]["sampler"] == SAMPLER_VERSION
     assert "no_fixed_point" in payload["metadata"]["conventions"]
 
     text = report.summary()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILIES
+from permcycles import sampler as sampler_module
 from permcycles import (
     DegenerateModelError,
     Permutation,
@@ -16,7 +17,6 @@ from permcycles import (
     RngStream,
     WeightSequence,
     cycle_length_distribution,
-    cycles_of,
     exact_statistic_distribution,
     norm_constants,
 )
@@ -53,7 +53,6 @@ def test_from_cycles_round_trip():
         p = Permutation.from_image(image)
         q = Permutation.from_cycles(p.n, p.cycles)
         assert q == p
-        assert cycles_of(p) == p.cycles
 
 
 def test_from_cycles_validates():
@@ -163,12 +162,24 @@ def test_sampled_permutations_are_valid(ws, n, seed):
     perm = PermutationSampler(ws, table).sample(n, RngStream(seed, 0))
     assert sorted(perm.image) == list(range(1, n + 1))
     # cycles attached during sampling match a fresh trace of the image
-    assert perm.cycles == cycles_of(perm)
+    assert perm.cycles == Permutation.from_image(perm.image).cycles
     covered = [v for c in perm.cycles for v in c]
     assert sorted(covered) == list(range(1, n + 1))
     mins = [c[0] for c in perm.cycles]
     assert all(c[0] == min(c) for c in perm.cycles)
     assert mins == sorted(mins)
+
+
+def test_length_cache_stays_bounded():
+    # Uniform weights make the first cycle length uniform on 1..m, so the
+    # remaining sizes wander over most of 1..n; the cache must evict.
+    ws = WeightSequence.uniform()
+    n = 400
+    sampler = PermutationSampler(ws, norm_constants(ws, n))
+    for i in range(500):
+        sampler.sample(n, RngStream(13, i))
+        assert sampler._cumulative.cache_info().currsize <= sampler_module._CUM_CACHE_SIZE
+    assert sampler._cumulative.cache_info().misses > 4 * sampler_module._CUM_CACHE_SIZE
 
 
 def _empirical_vs_exact(ws, n, draws, seed):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import FAMILIES
 from permcycles import (
     DegenerateModelError,
-    LogWeight,
     WeightSequence,
     WeightSpecError,
     enumerate_h,
@@ -123,29 +122,6 @@ def test_parse_weights_errors_name_the_token(text, token):
     assert token in str(err.value)
 
 
-# ---------------------------------------------------------------- LogWeight
-
-
-def test_log_weight_basics():
-    assert LogWeight.from_value(0.0).log_value == -math.inf
-    assert LogWeight.from_value(0.0).value == 0.0
-    assert LogWeight.from_value(1.0).log_value == 0.0
-    prod = LogWeight.from_value(2.0) * LogWeight.from_value(8.0)
-    assert prod.value == pytest.approx(16.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        LogWeight.from_value(-1.0)
-
-
-@given(
-    st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
-)
-def test_log_weight_round_trip(x):
-    # exp(log(x)) in float64 is exact only to ~0.5 ulp of |log x| * x; across
-    # [1e-300, 1e300] the measured worst case is ~5.7e-14 relative, so the
-    # bound below is the representation limit, not an implementation gap.
-    assert LogWeight.from_value(x).value == pytest.approx(x, rel=1e-13)
-
-
 # ---------------------------------------------- normalization constants h_n
 
 
@@ -162,7 +138,7 @@ def test_ewens_h_is_rising_factorial_over_factorial():
         table = norm_constants(WeightSequence.ewens(theta), 300)
         for n in (1, 2, 5, 17, 120, 300):
             expected = math.lgamma(theta + n) - math.lgamma(theta) - math.lgamma(n + 1)
-            got = table.log_weight(n).log_value
+            got = float(table.log_h[n])
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
