@@ -410,7 +410,7 @@ def sample_limit_spacings(theta1: float, rng: RngStream, size: int | None = None
 
 
 def _poisson_terms(theta1: float, eps: float):
-    """Yield (r, pmf) for Poisson(theta1) until the tail drops below eps."""
+    """Yield (r, pmf) for Poisson(theta1) until the tail is below eps; raise if r <= 500 can't."""
     pmf = math.exp(-theta1)
     cum = pmf
     r = 0
@@ -420,6 +420,8 @@ def _poisson_terms(theta1: float, eps: float):
         pmf *= theta1 / r
         cum += pmf
         yield r, pmf
+    if 1.0 - cum > eps:
+        raise ValueError(f"Poisson({theta1!r}) terms r <= 500 miss {1.0 - cum:.3g} of the mass")
 
 
 def cdf_min_spacing(x: float, theta1: float, eps: float = 1e-12) -> float:

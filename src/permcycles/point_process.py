@@ -15,12 +15,12 @@ simulation of the limiting process itself.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property
+from operator import le
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class Interval:
         right = x <= self.hi if self.hi_closed else x < self.hi
         return left and right
 
-    def length(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class BoxSpec:
@@ -114,7 +111,22 @@ class BoxUnion:
         return tuple(b for b in self.boxes if b.level == level)
 
     def contains(self, level: int, point: tuple[float, ...]) -> bool:
-        return any(b.contains(point) for b in self.boxes_at(level))
+        return len(point) == level and point[0] == min(point) and any(
+            all(map(le, lows, point)) and all(map(le, point, highs))
+            for lows, highs in self._closed_bounds.get(level, ())
+        )
+
+    @cached_property
+    def _closed_bounds(self) -> dict[int, list]:
+        """Per level, each box's closed float bounds (lows, highs): an open end b moves
+        one float inward, since on floats x < b exactly when x <= nextafter(b, -inf)."""
+        out: dict[int, list] = {}
+        for b in self.boxes:
+            ivs = b.intervals
+            out.setdefault(b.level, []).append((
+                tuple(iv.lo if iv.lo_closed else math.nextafter(iv.lo, math.inf) for iv in ivs),
+                tuple(iv.hi if iv.hi_closed else math.nextafter(iv.hi, -math.inf) for iv in ivs)))
+        return out
 
 
 def min_first(point: tuple[float, ...]) -> tuple[float, ...]:
@@ -125,48 +137,37 @@ def min_first(point: tuple[float, ...]) -> tuple[float, ...]:
     return point[i:] + point[:i]
 
 
+def _wedge_volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Wedge volumes of the boxes prod_i [lo[r, i], hi[r, i]], one per row r.
+
+    Between sorted cut points (a_1, b_1, and each a_i, b_i clipped into [a_1, b_1]) the
+    integrand of ``box_volume`` is a polynomial of degree <= k-1: k-node Gauss-Legendre is exact.
+    """
+    k = lo.shape[1]
+    a1, b1 = lo[:, :1], hi[:, :1]
+    cuts = np.sort(np.hstack([a1, b1, np.clip(lo[:, 1:], a1, b1), np.clip(hi[:, 1:], a1, b1)]))
+    half = (cuts[:, 1:] - cuts[:, :-1]) / 2
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    x = (cuts[:, 1:] + cuts[:, :-1])[..., None] / 2 + half[..., None] * nodes
+    f = np.ones_like(x)
+    for i in range(1, k):
+        f *= np.maximum(hi[:, i, None, None] - np.maximum(lo[:, i, None, None], x), 0.0)
+    return (f @ weights * half).sum(axis=1)
+
+
 def box_volume(box: BoxSpec) -> float:
     """Lebesgue volume of the box intersected with the wedge W_k.
 
     With the box written prod_i [a_i, b_i], the wedge constraint pins the
     first coordinate as the minimum, so the volume is
 
-        integral_{a_1}^{b_1} prod_{i>=2} max(0, b_i - max(a_i, x)) dx.
+        integral_{a_1}^{b_1} prod_{i>=2} max(0, b_i - max(a_i, x)) dx,
 
-    The integrand is piecewise polynomial in x with breakpoints at the a_i
-    and b_i, so the integral is evaluated exactly piece by piece.  Endpoint
-    closure flags do not affect volume.
+    computed exactly by the one-row call of the kernel ``intensity`` uses.
+    Endpoint closure flags do not affect volume.
     """
-    iv = box.intervals
-    a1, b1 = iv[0].lo, iv[0].hi
-    if box.level == 1:
-        return b1 - a1
-    cuts = {a1, b1}
-    for itv in iv[1:]:
-        for p in (itv.lo, itv.hi):
-            if a1 < p < b1:
-                cuts.add(p)
-    pts = sorted(cuts)
-    total = 0.0
-    for lo, hi in zip(pts, pts[1:]):
-        if hi <= lo:
-            continue
-        poly = np.polynomial.Polynomial([1.0])
-        dead = False
-        for itv in iv[1:]:
-            if lo >= itv.hi:
-                dead = True
-                break
-            if hi <= itv.lo:
-                poly = poly * (itv.hi - itv.lo)
-            else:
-                # whole piece sits inside [a_i, b_i]: factor is b_i - x
-                poly = poly * np.polynomial.Polynomial([itv.hi, -1.0])
-        if dead:
-            continue
-        anti = poly.integ()
-        total += anti(hi) - anti(lo)
-    return float(total)
+    lo, hi = np.array([[(iv.lo, iv.hi) for iv in box.intervals]]).transpose(2, 0, 1)
+    return float(_wedge_volumes(lo, hi)[0])
 
 
 def intersect_boxes(a: BoxSpec, b: BoxSpec) -> BoxSpec | None:
@@ -197,8 +198,12 @@ def intersect_boxes(a: BoxSpec, b: BoxSpec) -> BoxSpec | None:
 def intensity(ws: WeightSequence, union: BoxUnion) -> float:
     """Limiting expected point count in the union: sum_k theta_k * vol_k.
 
-    vol_k is the wedge volume of the level-k part of the union, computed by
-    inclusion-exclusion over the boxes at that level.
+    vol_k is the wedge volume of the level-k part of the union, by inclusion-
+    exclusion over its B boxes.  All 2^B subset intersections are built at
+    once as (2^B, k) bound arrays by bit doubling: the subsets holding box j
+    are those without it, clipped by box j, with the opposite sign.  One
+    kernel call gives every nonempty one's volume; ``math.fsum`` adds them.
+    That is O(2^B * k) work per level, so B stays capped at 16 (2^16 rows).
     """
     total = 0.0
     for k in union.levels():
@@ -208,18 +213,16 @@ def intensity(ws: WeightSequence, union: BoxUnion) -> float:
                 f"{len(boxes)} boxes at level {k}: inclusion-exclusion over more "
                 f"than {_MAX_BOXES_PER_LEVEL} is not supported"
             )
-        vol = 0.0
-        for r in range(1, len(boxes) + 1):
-            sign = 1.0 if r % 2 else -1.0
-            for combo in itertools.combinations(boxes, r):
-                inter = reduce(
-                    lambda x, y: None if x is None else intersect_boxes(x, y),
-                    combo[1:],
-                    combo[0],
-                )
-                if inter is not None:
-                    vol += sign * box_volume(inter)
-        total += ws.theta(k) * vol
+        # row 0 is the empty subset: the unit cube, which clips nothing
+        lo, hi = np.zeros((2 ** len(boxes), k)), np.ones((2 ** len(boxes), k))
+        sign = np.full(2 ** len(boxes), -1.0)
+        for j, b in enumerate(boxes):
+            h = 2 ** j
+            np.maximum(lo[:h], [iv.lo for iv in b.intervals], out=lo[h:2 * h])
+            np.minimum(hi[:h], [iv.hi for iv in b.intervals], out=hi[h:2 * h])
+            sign[h:2 * h] = -sign[:h]
+        rows = np.flatnonzero((lo <= hi).all(axis=1))[1:]
+        total += ws.theta(k) * math.fsum(sign[rows] * _wedge_volumes(lo[rows], hi[rows]))
     return total
 
 
@@ -280,13 +283,7 @@ def point_measure(perm) -> PointMeasure:
 
 def count_in(pm: PointMeasure, union: BoxUnion) -> int:
     """Number of points of the measure inside the union (level-aware)."""
-    total = 0
-    for k in union.levels():
-        boxes = union.boxes_at(k)
-        for p in pm.restrict(k):
-            if any(b.contains(p) for b in boxes):
-                total += 1
-    return total
+    return sum(union.contains(k, p) for k in union._closed_bounds for p in pm.levels.get(k, ()))
 
 
 def simulate_limit_process(
@@ -303,11 +300,10 @@ def simulate_limit_process(
     gen = rng.gen
     levels: dict[int, tuple] = {}
     for k in range(1, k_max + 1):
-        mean = ws.theta(k) / k
-        cnt = int(gen.poisson(mean))
+        cnt = int(gen.poisson(ws.theta(k) / k))
         if cnt:
-            pts = tuple(min_first(tuple(gen.random(k))) for _ in range(cnt))
-            levels[k] = pts
+            # one call draws the same doubles, in the same order, as cnt calls of random(k)
+            levels[k] = tuple(min_first(tuple(row)) for row in gen.random((cnt, k)).tolist())
     return PointMeasure(0, levels)
 
 

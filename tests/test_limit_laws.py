@@ -331,6 +331,17 @@ def test_spacing_cdf_boundaries():
         assert all(lo >= hi - 1e-12 for lo, hi in zip(mins, maxs))
 
 
+@pytest.mark.parametrize("theta", [450.0, 800.0])
+def test_spacing_cdfs_raise_when_poisson_terms_miss_mass(theta):
+    # the mixture over r ~ Poisson(theta) stops at r = 500: at theta = 450
+    # that leaves ~1% of the mass out, and at theta = 800 exp(-theta)
+    # underflows so every term is 0; both must fail loudly, not report
+    for cdf in (cdf_min_spacing, cdf_max_spacing):
+        for x in (0.001, 0.5, 0.999):
+            with pytest.raises(ValueError, match="mass"):
+                cdf(x, theta)
+
+
 def test_spacing_cdfs_match_the_mixture():
     # deconditioned closed forms against 200k draws of the mixture they
     # should integrate out, on a 50-point grid, three-sigma gate

@@ -1,7 +1,10 @@
 """Scaled cycle point measures, wedge boxes, intensities, the limit process."""
 
+import itertools
 import json
 import math
+import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -40,6 +43,66 @@ def _box(level, *bounds, open_upper=()):
         for i, (lo, hi) in enumerate(bounds)
     )
     return BoxSpec(level, ivs)
+
+
+def _reference_box_volume(box):
+    """The earlier polynomial-by-piece wedge volume, kept as a reference."""
+    iv = box.intervals
+    a1, b1 = iv[0].lo, iv[0].hi
+    if box.level == 1:
+        return b1 - a1
+    cuts = {a1, b1}
+    for itv in iv[1:]:
+        for p in (itv.lo, itv.hi):
+            if a1 < p < b1:
+                cuts.add(p)
+    pts = sorted(cuts)
+    total = 0.0
+    for lo, hi in zip(pts, pts[1:]):
+        if hi <= lo:
+            continue
+        poly = np.polynomial.Polynomial([1.0])
+        dead = False
+        for itv in iv[1:]:
+            if lo >= itv.hi:
+                dead = True
+                break
+            if hi <= itv.lo:
+                poly = poly * (itv.hi - itv.lo)
+            else:
+                poly = poly * np.polynomial.Polynomial([itv.hi, -1.0])
+        if dead:
+            continue
+        anti = poly.integ()
+        total += anti(hi) - anti(lo)
+    return float(total)
+
+
+def _reference_intensity(ws, union):
+    """The earlier subset-by-subset inclusion-exclusion, kept as a reference."""
+    total = 0.0
+    for k in union.levels():
+        boxes = union.boxes_at(k)
+        vol = 0.0
+        for r in range(1, len(boxes) + 1):
+            sign = 1.0 if r % 2 else -1.0
+            for combo in itertools.combinations(boxes, r):
+                inter = reduce(
+                    lambda x, y: None if x is None else intersect_boxes(x, y),
+                    combo[1:],
+                    combo[0],
+                )
+                if inter is not None:
+                    vol += sign * _reference_box_volume(inter)
+        total += ws.theta(k) * vol
+    return total
+
+
+def _random_box(rnd, k):
+    # endpoints on coarse and fine grids, so boxes share and touch bounds
+    bounds = [sorted(round(rnd.random(), rnd.choice((1, 2, 6))) for _ in range(2))
+              for _ in range(k)]
+    return _box(k, *bounds)
 
 
 # ------------------------------------------------------------ point measures
@@ -214,6 +277,30 @@ def test_intensity_inclusion_exclusion():
     assert intensity(ws, twice) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_intensity_matches_reference_on_random_unions():
+    rnd = random.Random(20261018)
+    ws = WeightSequence.polynomial(1.3, 0.4)
+    for _ in range(150):
+        k = rnd.randint(1, 4)
+        boxes = tuple(_random_box(rnd, k) for _ in range(rnd.randint(1, 6)))
+        if rnd.random() < 0.3:  # a second level in the same union
+            boxes += (_random_box(rnd, 5 - k),)
+        union = BoxUnion(boxes)
+        assert abs(intensity(ws, union) - _reference_intensity(ws, union)) <= 1e-12
+        for box in boxes:
+            assert abs(box_volume(box) - _reference_box_volume(box)) <= 1e-12
+
+
+def test_intensity_matches_reference_on_twelve_level3_boxes():
+    boxes = tuple(
+        _box(3, (0.02 * a, 0.5 + 0.02 * a), (0.03 * a, 0.6 + 0.02 * a), (0.01 * a, 0.7 + 0.01 * a))
+        for a in range(12)
+    )
+    union = BoxUnion(boxes)
+    ws = WeightSequence.ewens(1.5)
+    assert abs(intensity(ws, union) - _reference_intensity(ws, union)) <= 1e-12
+
+
 def test_intensity_box_count_limit():
     boxes = tuple(_box(1, (i / 40, (i + 1) / 40)) for i in range(17))
     with pytest.raises(ValueError):
@@ -295,6 +382,19 @@ def test_simulate_limit_process_points_are_uniform_on_the_wedge():
     assert res.pvalue > 1e-3
 
 
+def test_simulate_limit_process_matches_per_point_draws():
+    ws = WeightSequence.polynomial(2.5, 0.3)
+    for i in range(300):
+        got = simulate_limit_process(ws, 4, RngStream(77, (1, i)))
+        gen = RngStream(77, (1, i)).gen
+        want = {}
+        for k in range(1, 5):
+            cnt = int(gen.poisson(ws.theta(k) / k))
+            if cnt:
+                want[k] = tuple(min_first(tuple(gen.random(k))) for _ in range(cnt))
+        assert got.levels == want
+
+
 # ------------------------------------------------------------------ counting
 
 
@@ -314,6 +414,30 @@ def test_count_in_multi_level():
     pm = point_measure(Permutation.from_image((1, 3, 2)))
     union = parse_boxes("box:k=1;0,0.4 ; box:k=2;0.5,1;0.5,1")
     assert count_in(pm, union) == 2
+
+
+def test_count_in_matches_box_contains_with_open_endpoints():
+    rnd = random.Random(5)
+    grid = [i / 10 for i in range(11)]
+    for _ in range(200):
+        boxes = []
+        for _ in range(rnd.randint(1, 4)):
+            k = rnd.randint(1, 3)
+            ivs = []
+            for _ in range(k):
+                lo, hi = sorted(rnd.sample(grid, 2))
+                ivs.append(Interval(lo, hi, rnd.random() < 0.7, rnd.random() < 0.5))
+            boxes.append(BoxSpec(k, tuple(ivs)))
+        union = BoxUnion(tuple(boxes))
+        # lattice points land on the endpoints; some are not smallest-first
+        levels = {k: tuple(tuple(rnd.choice(grid) for _ in range(k)) for _ in range(8))
+                  for k in (1, 2, 3)}
+        pm = PointMeasure(0, levels)
+        want = sum(
+            1 for k in union.levels() for p in pm.restrict(k)
+            if any(b.contains(p) for b in union.boxes_at(k))
+        )
+        assert count_in(pm, union) == want
 
 
 # ------------------------------------------------------------------- JSON
