@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _MAX_BOXES_PER_LEVEL = 16
+_KERNEL_BLOCK = 1 << 18  # quadrature values per kernel pass (2k * k a row): temporaries ~2 MB
 
 
 class BoxSpecError(ValueError):
@@ -144,6 +145,10 @@ def _wedge_volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     integrand of ``box_volume`` is a polynomial of degree <= k-1: k-node Gauss-Legendre is exact.
     """
     k = lo.shape[1]
+    step = max(1, _KERNEL_BLOCK // (2 * k * k))
+    if len(lo) > step:
+        return np.concatenate([_wedge_volumes(lo[i:i + step], hi[i:i + step])
+                               for i in range(0, len(lo), step)])
     a1, b1 = lo[:, :1], hi[:, :1]
     cuts = np.sort(np.hstack([a1, b1, np.clip(lo[:, 1:], a1, b1), np.clip(hi[:, 1:], a1, b1)]))
     half = (cuts[:, 1:] - cuts[:, :-1]) / 2
@@ -202,8 +207,9 @@ def intensity(ws: WeightSequence, union: BoxUnion) -> float:
     exclusion over its B boxes.  All 2^B subset intersections are built at
     once as (2^B, k) bound arrays by bit doubling: the subsets holding box j
     are those without it, clipped by box j, with the opposite sign.  One
-    kernel call gives every nonempty one's volume; ``math.fsum`` adds them.
-    That is O(2^B * k) work per level, so B stays capped at 16 (2^16 rows).
+    kernel call (in fixed-size blocks) gives every nonempty one's volume and
+    ``math.fsum`` adds them: O(2^B * k^3) work and O(2^B * k) memory per
+    level, so B stays capped at 16 (2^16 rows).
     """
     total = 0.0
     for k in union.levels():

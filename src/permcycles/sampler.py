@@ -121,12 +121,12 @@ class Permutation:
 
 
 def cycle_length_distribution(
-    ws: WeightSequence, table: NormalizationTable, m: int, log_theta=None
+    ws: WeightSequence, table: NormalizationTable, m: int
 ) -> np.ndarray:
     """Exact law of the length of the cycle opened at remaining size m.
 
-    Entry k-1 holds P(length = k) for k = 1..m.  ``log_theta`` may pass in
-    ``ws.log_theta_array(K)`` for any K >= m.  Raises
+    Entry k-1 holds P(length = k) for k = 1..m.  ``table`` is
+    ``norm_constants(ws, n_max)`` and carries log theta_k.  Raises
     :class:`DegenerateModelError` when h_m = 0 (no permutation of [m] has
     positive weight, so there is nothing to condition on).
     """
@@ -138,7 +138,7 @@ def cycle_length_distribution(
     if np.isneginf(log_h[m]):
         raise DegenerateModelError(f"h_{m} = 0: no positive-weight permutation of [{m}]")
     log_p = (
-        (ws.log_theta_array(m) if log_theta is None else log_theta)[1:m + 1]
+        table.log_theta[1:m + 1]
         + log_h[m - 1::-1]                 # log h_{m-k} for k = 1..m
         - (math.log(m) + log_h[m])
     )
@@ -156,11 +156,10 @@ class PermutationSampler:
     def __init__(self, ws: WeightSequence, table: NormalizationTable):
         self.ws = ws
         self.table = table
-        self._log_theta = ws.log_theta_array(table.n_max)
         self._cumulative = functools.lru_cache(maxsize=_CUM_CACHE_SIZE)(self._cumulative_law)
 
     def _cumulative_law(self, m: int) -> np.ndarray:
-        return np.cumsum(cycle_length_distribution(self.ws, self.table, m, self._log_theta))
+        return np.cumsum(cycle_length_distribution(self.ws, self.table, m))
 
     def sample(self, n: int, rng: RngStream) -> Permutation:
         if n < 1:

@@ -214,10 +214,11 @@ def _is_float(s: str) -> bool:
 
 @dataclass(eq=False)
 class NormalizationTable:
-    """Log-scale table of the constants h_0 .. h_n_max for one weight sequence."""
+    """Log-scale tables of h_0 .. h_n_max and theta_0 .. theta_n_max for one weight sequence."""
 
     n_max: int
     log_h: np.ndarray
+    log_theta: np.ndarray
 
     def h(self, n: int) -> float:
         """h_n as a plain float (may overflow to inf for huge weights)."""
@@ -250,7 +251,7 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
         terms -= top
         np.exp(terms, out=terms)
         log_h[n] = top + math.log(terms.sum()) - math.log(n)
-    return NormalizationTable(n_max, log_h)
+    return NormalizationTable(n_max, log_h, log_theta)
 
 
 def stability_diagnostic(table: NormalizationTable) -> np.ndarray:

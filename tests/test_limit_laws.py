@@ -35,11 +35,7 @@ from permcycles import (
     sample_limit_spacings,
     sample_spacing_mixture,
 )
-from permcycles.limit_laws import (
-    LAW_NAMES,
-    _fixed_point_sum_laplace_series,
-    law_support,
-)
+from permcycles.limit_laws import LAW_NAMES, law_support
 
 
 # ------------------------------------------------------------ Poisson counts
@@ -221,6 +217,24 @@ def test_cdf_fixed_point_sum_laplace_identity(t):
     assert integral == pytest.approx(laplace_k_cycle_sum(theta, 1, t), abs=1e-8)
 
 
+def _fixed_point_sum_laplace_series(theta1: float, t: float, terms: int = 60) -> float:
+    """t times the Laplace transform of cdf_fixed_point_sum, by its own series.
+
+    Integrating e^{-tx} dF(x) by parts term by term collapses the Bessel
+    series into exp(theta1 (e^{-t} - t) / t ... ) in closed form; this
+    partial-sum version checks that the CDF series and the transform
+    exp(theta1 ((1 - e^{-t})/t - 1)) agree.
+    """
+    z = -theta1 * math.exp(-t) / t
+    total = 0.0
+    term = 1.0
+    for j in range(terms):
+        if j:
+            term *= z / j
+        total += term
+    return math.exp(-theta1) * math.exp(theta1 / t) * total
+
+
 def test_fixed_point_sum_series_transform_identity():
     # the partial-sum route through the Bessel series collapses to the same
     # closed form as the k = 1 cycle-sum transform
@@ -340,6 +354,28 @@ def test_spacing_cdfs_raise_when_poisson_terms_miss_mass(theta):
         for x in (0.001, 0.5, 0.999):
             with pytest.raises(ValueError, match="mass"):
                 cdf(x, theta)
+
+
+def test_spacing_cdfs_return_just_below_the_raise():
+    # with eps = 1e-12 the terms r <= 500 cover the Poisson mass up to
+    # theta ~ 359.5; at 355 both CDFs still return
+    theta = 355.0
+    for cdf in (cdf_min_spacing, cdf_max_spacing):
+        assert cdf(0.5, theta) == pytest.approx(1.0, abs=1e-11)
+        assert cdf(0.999, theta) == pytest.approx(1.0, abs=1e-11)
+    assert cdf_min_spacing(1e-4, theta) == pytest.approx(
+        1.0 - sum(math.exp(-theta + r * math.log(theta) - math.lgamma(r + 1))
+                  * (1.0 - (r + 1) * 1e-4) ** r for r in range(501)), abs=1e-11)
+    with pytest.raises(ValueError, match="mass"):
+        cdf_min_spacing(0.5, 360.0)
+
+
+def test_spacing_cdfs_accept_eps_zero():
+    # eps = 0 runs all 500 terms; the sum's rounding must not count as missed mass
+    for theta in (0.5, 2.5, 50.0):
+        for cdf in (cdf_min_spacing, cdf_max_spacing):
+            for x in (0.05, 0.5, 0.999):
+                assert cdf(x, theta, eps=0.0) == pytest.approx(cdf(x, theta), abs=1e-12)
 
 
 def test_spacing_cdfs_match_the_mixture():

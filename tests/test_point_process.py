@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -34,6 +35,7 @@ from permcycles import (
     simulate_limit_process,
     tail_intensity_mass,
 )
+from permcycles import point_process
 from permcycles.point_process import intersect_boxes
 
 
@@ -299,6 +301,39 @@ def test_intensity_matches_reference_on_twelve_level3_boxes():
     union = BoxUnion(boxes)
     ws = WeightSequence.ewens(1.5)
     assert abs(intensity(ws, union) - _reference_intensity(ws, union)) <= 1e-12
+
+
+def test_intensity_matches_reference_on_sixteen_level12_boxes():
+    # boxes i and j meet when |i - j| <= 7: 1279 nonempty subsets, more than
+    # one kernel block of rows at level 12
+    rnd = random.Random(12)
+    boxes = tuple(
+        _box(12, (0.04 * i, 0.04 * i + 0.3),
+             *(sorted((round(rnd.uniform(0, 0.4), 2), round(rnd.uniform(0.5, 1), 2)))
+               for _ in range(11)),
+             open_upper=(2,))
+        for i in range(16)
+    )
+    assert len(boxes) == point_process._MAX_BOXES_PER_LEVEL
+    assert 1279 > point_process._KERNEL_BLOCK // (2 * 12 * 12)
+    union = BoxUnion(boxes)
+    ws = WeightSequence.ewens(1.5)
+    assert abs(intensity(ws, union) - _reference_intensity(ws, union)) <= 1e-12
+
+
+def test_intensity_memory_stays_bounded_at_sixteen_boxes():
+    # all 2^16 - 1 subsets meet; one kernel pass over every row at level 6
+    # would hold arrays of 65535 * 12 * 6 doubles (38 MB each)
+    boxes = tuple(_box(6, *[(0.01 * i, 0.9 + 0.005 * i)] * 6) for i in range(16))
+    tracemalloc.start()
+    try:
+        value = intensity(WeightSequence.ewens(1.5), BoxUnion(boxes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    # the union holds its first box and sits inside [0, 0.975]^6
+    assert 1.5 * box_volume(boxes[0]) < value < 1.5 * box_volume(_box(6, *[(0.0, 0.975)] * 6))
 
 
 def test_intensity_box_count_limit():
