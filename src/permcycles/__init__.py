@@ -5,7 +5,6 @@ from .weights import (
     WeightSequence,
     NormalizationTable,
     norm_constants,
-    stability_diagnostic,
     parse_weights,
     WeightSpecError,
     DegenerateModelError,

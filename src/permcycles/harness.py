@@ -2,10 +2,12 @@
 
 Runs batches of permutation draws, reduces them to cycle statistics, and
 compares the empirical results against either the closed-form limiting laws
-or (for small n) brute-force enumeration.  Replicate i always consumes the
-random stream keyed (seed, lane, i), and reduction happens in replicate
-order, so reports are byte-identical regardless of how many worker
-processes computed them.
+or (for small n) brute-force enumeration.  Replicate i of the permutation
+lane always consumes the random stream keyed (seed, 0, i); the avoidance
+limit simulation draws in fixed blocks of ``_LIMIT_BLOCK`` draws, block b
+from the stream keyed (seed, 1, b), and chunks hold whole blocks.  Reduction
+happens in replicate order, so reports are byte-identical regardless of how
+many worker processes computed them.
 
 Each run builds the normalization table once, in the calling process, and
 ships it inside every chunk task.  A worker builds a fresh sampler per task
@@ -46,9 +48,13 @@ from .limit_laws import (
     sample_limit_spacings,
 )
 from .oracle import exact_statistic_distribution
+# point_measure, count_in and simulate_limit_process have no caller here; they stay
+# bound on this module because perfbench/tracing.py wraps them by these names.
 from .point_process import (
+    count_by_draw,
     count_in,
     intensity,
+    limit_block_counts,
     parse_boxes,
     point_measure,
     simulate_limit_process,
@@ -78,6 +84,13 @@ except Exception:  # pragma: no cover
 _LANE_PERM = 0
 _LANE_LIMIT = 1
 _LANE_MIXTURE = 2
+_LIMIT_BLOCK = 4096  # limit-process draws per stream
+_HELD_VALUES = 1 << 16  # cycle entries an avoid chunk holds before counting them
+# Names how the limit simulation consumes randomness; reports carry it in their metadata.
+LIMIT_STREAM_VERSION = (
+    f"one stream per {_LIMIT_BLOCK}-draw block keyed (seed, 1, block); per level the "
+    "block's Poisson counts, then its uniforms in draw order (v2)"
+)
 
 _KINDS = ("counts", "avoidance", "cdf")
 _COMPARE = ("limit", "oracle")
@@ -290,21 +303,40 @@ def _run_chunk(task):
     if kind == "avoid":
         _, ws, table, seed, boxes_text, start, stop = task
         union = parse_boxes(boxes_text)
-        draws = _draws(ws, table, seed, start, stop)
-        return [count_in(point_measure(perm), union) for perm in draws]
+        counts = np.zeros(stop - start, dtype=np.int64)
+        # per union level, one row (draw, *cycle) for each cycle of that length
+        held: dict[int, list] = {k: [] for k in union.levels()}
+        values, last = 0, stop - start - 1
+        for d, perm in enumerate(_draws(ws, table, seed, start, stop)):
+            for c in perm.cycles:
+                if len(c) in held:
+                    held[len(c)].append((d,) + c)
+                    values += len(c)
+            if values < _HELD_VALUES and d < last:
+                continue
+            for k, rows in held.items():
+                if rows:
+                    rows = np.array(rows)
+                    counts += count_by_draw(union, k, rows[:, 1:] / table.n_max, rows[:, 0],
+                                            len(counts))
+                    held[k] = []
+            values = 0
+        return counts.tolist()
     if kind == "limit_avoid":
         _, ws, k_cap, seed, boxes_text, start, stop = task
         union = parse_boxes(boxes_text)
-        out = []
-        for i in range(start, stop):
-            pm = simulate_limit_process(ws, k_cap, RngStream(seed, (_LANE_LIMIT, i)))
-            out.append(count_in(pm, union))
-        return out
+        blocks = [
+            limit_block_counts(ws, k_cap, union, min(b + _LIMIT_BLOCK, stop) - b,
+                               RngStream(seed, (_LANE_LIMIT, b // _LIMIT_BLOCK)))
+            for b in range(start, stop, _LIMIT_BLOCK)
+        ]
+        return np.concatenate(blocks).tolist()
     raise ValueError(f"unknown chunk kind {kind!r}")
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    per = max(1, math.ceil(total / max(1, workers * 4)))
+def _chunk_bounds(total: int, workers: int, unit: int = 1) -> list[tuple[int, int]]:
+    """About four chunks per worker, each whole ``unit``-sized blocks but the last."""
+    per = unit * max(1, math.ceil(math.ceil(total / unit) / max(1, workers * 4)))
     return [(s, min(s + per, total)) for s in range(0, total, per)]
 
 
@@ -326,6 +358,7 @@ def _metadata(ws: WeightSequence) -> dict:
         "bit_generator": "Philox",
         "sampler": SAMPLER_VERSION,
         "rng_lanes": {"permutations": 0, "limit_process": 1, "mixture": 2},
+        "limit_stream": LIMIT_STREAM_VERSION,
         "weights": ws.spec_string(),
         "conventions": {
             "no_k_cycle": "min range = n, max range = 0 before scaling",
@@ -472,7 +505,7 @@ def run_avoidance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     k_cap = max(levels) if levels else 1
     sim_tasks = [
         ("limit_avoid", ws, k_cap, cfg.seed, cfg.boxes, s, e)
-        for s, e in _chunk_bounds(m_draws, cfg.workers)
+        for s, e in _chunk_bounds(m_draws, cfg.workers, _LIMIT_BLOCK)
     ]
     sim_counts = np.asarray(_map_chunks(sim_tasks, cfg.workers), dtype=np.int64)
     q_hat = float(np.mean(sim_counts == 0))

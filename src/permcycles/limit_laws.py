@@ -458,6 +458,12 @@ def cdf_max_spacing(x: float, theta1: float, eps: float = 1e-12) -> float:
     has CDF sum_{j} (-1)^j C(r+1, j) (1 - jx)_+^r, and mixing over
     r ~ Poisson(theta1) gives the unconditional law.  The r = 0 term is the
     atom at 1 again.
+
+    The inner sum alternates and cancels for r in the tens, so its rounding
+    error is bounded by sum_r pois(r) sum_j |term_j| (r + 2) 2^-53; raises
+    ``ValueError`` when that bound exceeds 1e-9, or when the result leaves
+    [0, 1] by more than it.  A result off [0, 1] by less is rounding and is
+    returned as the nearest end.
     """
     if theta1 < 0:
         raise ValueError(f"theta1 must be >= 0, got {theta1}")
@@ -466,15 +472,25 @@ def cdf_max_spacing(x: float, theta1: float, eps: float = 1e-12) -> float:
     if x >= 1:
         return 1.0
     total = 0.0
+    err = 0.0
     for r, pmf in _poisson_terms(theta1, eps):
         inner = 0.0
+        size = 0.0
         for j in range(r + 2):
             base = 1.0 - j * x
             if base <= 0.0:
                 break
             term = math.comb(r + 1, j) * base ** r
             inner += -term if j % 2 else term
+            size += term
         total += pmf * inner
+        err += pmf * size * (r + 2)
+    err *= 2.0 ** -53
+    if err > 1e-9 or not -err <= total <= 1.0 + err:
+        raise ValueError(
+            f"cdf_max_spacing({x!r}, {theta1!r}) = {total!r} with rounding error up to "
+            f"{err:.3g}: the alternating sum cancels too much at this theta1"
+        )
     return min(1.0, max(0.0, total))
 
 

@@ -20,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import le
 
 import numpy as np
 
@@ -40,7 +39,9 @@ __all__ = [
     "avoidance_limit",
     "point_measure",
     "count_in",
+    "count_by_draw",
     "simulate_limit_process",
+    "limit_block_counts",
     "tail_intensity_mass",
     "min_first",
 ]
@@ -68,11 +69,6 @@ class Interval:
                 f"interval [{self.lo!r}, {self.hi!r}] is not inside [0, 1]"
             )
 
-    def contains(self, x: float) -> bool:
-        left = x >= self.lo if self.lo_closed else x > self.lo
-        right = x <= self.hi if self.hi_closed else x < self.hi
-        return left and right
-
 
 @dataclass(frozen=True)
 class BoxSpec:
@@ -90,14 +86,6 @@ class BoxSpec:
                 f"got {len(self.intervals)}"
             )
 
-    def contains(self, point: tuple[float, ...]) -> bool:
-        """Membership in the box intersected with the wedge W_k."""
-        if len(point) != self.level:
-            return False
-        if point[0] != min(point):
-            return False
-        return all(iv.contains(x) for iv, x in zip(self.intervals, point))
-
 
 @dataclass(frozen=True)
 class BoxUnion:
@@ -112,21 +100,33 @@ class BoxUnion:
         return tuple(b for b in self.boxes if b.level == level)
 
     def contains(self, level: int, point: tuple[float, ...]) -> bool:
-        return len(point) == level and point[0] == min(point) and any(
-            all(map(le, lows, point)) and all(map(le, point, highs))
-            for lows, highs in self._closed_bounds.get(level, ())
-        )
+        return len(point) == level and bool(self.inside(level, np.array([point], dtype=float))[0])
+
+    def inside(self, level: int, points: np.ndarray) -> np.ndarray:
+        """Which rows of the (P, level) array ``points`` lie in the union and in the wedge W_level.
+
+        One broadcast comparison against every level-``level`` box; its
+        temporaries are (P, boxes, level) arrays, so callers bound P.
+        """
+        if level not in self._closed_bounds:
+            return np.zeros(len(points), dtype=bool)
+        lows, highs = self._closed_bounds[level]
+        p = points[:, None, :]
+        hit = ((lows <= p) & (p <= highs)).all(axis=2).any(axis=1)
+        return hit & (points[:, 0] == points.min(axis=1))
 
     @cached_property
-    def _closed_bounds(self) -> dict[int, list]:
-        """Per level, each box's closed float bounds (lows, highs): an open end b moves
-        one float inward, since on floats x < b exactly when x <= nextafter(b, -inf)."""
-        out: dict[int, list] = {}
-        for b in self.boxes:
-            ivs = b.intervals
-            out.setdefault(b.level, []).append((
-                tuple(iv.lo if iv.lo_closed else math.nextafter(iv.lo, math.inf) for iv in ivs),
-                tuple(iv.hi if iv.hi_closed else math.nextafter(iv.hi, -math.inf) for iv in ivs)))
+    def _closed_bounds(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per level, the (boxes, level) arrays of closed float bounds (lows, highs): an open
+        end b moves one float inward, since on floats x < b exactly when x <= nextafter(b, -inf)."""
+        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for k in self.levels():
+            ivs = [b.intervals for b in self.boxes_at(k)]
+            out[k] = (
+                np.array([[iv.lo if iv.lo_closed else math.nextafter(iv.lo, math.inf)
+                           for iv in box] for box in ivs]),
+                np.array([[iv.hi if iv.hi_closed else math.nextafter(iv.hi, -math.inf)
+                           for iv in box] for box in ivs]))
         return out
 
 
@@ -287,9 +287,51 @@ def point_measure(perm) -> PointMeasure:
     return PointMeasure(n, {k: tuple(v) for k, v in levels.items()})
 
 
+def count_by_draw(
+    union: BoxUnion, level: int, points: np.ndarray, draw: np.ndarray, draws: int
+) -> np.ndarray:
+    """Per-draw number of level-``level`` points inside the union.
+
+    Row r of the (P, level) array ``points`` is a point of draw ``draw[r]``,
+    one of ``draws`` draws; the result has one count per draw.
+    """
+    return np.bincount(draw[union.inside(level, points)], minlength=draws)
+
+
 def count_in(pm: PointMeasure, union: BoxUnion) -> int:
     """Number of points of the measure inside the union (level-aware)."""
-    return sum(union.contains(k, p) for k in union._closed_bounds for p in pm.levels.get(k, ()))
+    total = 0
+    for k in union.levels():
+        if pts := pm.restrict(k):
+            draw = np.zeros(len(pts), dtype=np.intp)
+            total += int(count_by_draw(union, k, np.array(pts, dtype=float), draw, 1)[0])
+    return total
+
+
+def _limit_slices(ws: WeightSequence, k_max: int, draws: int, gen: np.random.Generator):
+    """Points of ``draws`` draws of the limiting process, level by level, in slices.
+
+    Per level k <= k_max, one Poisson(theta_k / k) count per draw, then the
+    draws' points in draw order, as uniform rows of the cube rotated smallest
+    entry first (exactly uniform on the wedge W_k).  Yields (k, ends, start,
+    rows): level k's points of draw d are its rows ends[d-1]..ends[d]-1, and
+    ``rows`` are those from ``start`` on.  A slice and its doubled copy hold
+    at most ``_KERNEL_BLOCK`` values; consecutive ``gen.random`` calls return
+    the same doubles as one call, so slicing does not change the points.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    for k in range(1, k_max + 1):
+        ends = gen.poisson(ws.theta(k) / k, size=draws).cumsum()
+        total = int(ends[-1]) if draws else 0
+        step = max(1, _KERNEL_BLOCK // (2 * k))
+        for start in range(0, total, step):
+            rows = gen.random((min(step, total - start), k))
+            if k > 1:
+                # row r of the doubled rows, read from its argmin on, is row r rotated
+                first = rows.argmin(axis=1) + np.arange(0, 2 * rows.size, 2 * k)
+                rows = np.hstack([rows, rows]).ravel()[first[:, None] + np.arange(k)]
+            yield k, ends, start, rows
 
 
 def simulate_limit_process(
@@ -299,18 +341,30 @@ def simulate_limit_process(
 
     Level k receives Poisson(theta_k / k) points; each point is uniform on
     the cube and rotated smallest-entry-first, which is exactly uniform on
-    the wedge W_k.
+    the wedge W_k.  This is the one-draw block of ``limit_block_counts``.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    gen = rng.gen
     levels: dict[int, tuple] = {}
-    for k in range(1, k_max + 1):
-        cnt = int(gen.poisson(ws.theta(k) / k))
-        if cnt:
-            # one call draws the same doubles, in the same order, as cnt calls of random(k)
-            levels[k] = tuple(min_first(tuple(row)) for row in gen.random((cnt, k)).tolist())
+    for k, _, _, rows in _limit_slices(ws, k_max, 1, rng.gen):
+        levels[k] = levels.get(k, ()) + tuple(map(tuple, rows.tolist()))
     return PointMeasure(0, levels)
+
+
+def limit_block_counts(
+    ws: WeightSequence, k_max: int, union: BoxUnion, draws: int, rng: RngStream
+) -> np.ndarray:
+    """Points inside the union of each of ``draws`` draws of the limiting process.
+
+    All draws come from the one stream, level by level as in
+    ``simulate_limit_process``: one Poisson call for the block's counts, then
+    its uniforms.  Memory stays bounded by the slice size whatever theta is.
+    """
+    counts = np.zeros(draws, dtype=np.int64)
+    levels = union.levels()
+    for k, ends, start, rows in _limit_slices(ws, k_max, draws, rng.gen):
+        if k in levels:
+            draw = np.searchsorted(ends, np.arange(start, start + len(rows)), side="right")
+            counts += count_by_draw(union, k, rows, draw, draws)
+    return counts
 
 
 def tail_intensity_mass(ws: WeightSequence, k_max: int) -> float:

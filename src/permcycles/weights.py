@@ -24,7 +24,6 @@ __all__ = [
     "WeightSequence",
     "NormalizationTable",
     "norm_constants",
-    "stability_diagnostic",
     "parse_weights",
     "WeightSpecError",
     "DegenerateModelError",
@@ -252,22 +251,3 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
         np.exp(terms, out=terms)
         log_h[n] = top + math.log(terms.sum()) - math.log(n)
     return NormalizationTable(n_max, log_h, log_theta)
-
-
-def stability_diagnostic(table: NormalizationTable) -> np.ndarray:
-    """Ratios h_{n-1} / h_n for n = 1..n_max.
-
-    For well-behaved weight sequences the ratios approach a limit; wild
-    swings indicate a numerically delicate model.  Raises
-    :class:`DegenerateModelError` when some h_n in the table is zero, since
-    the ratio past that point is meaningless.
-    """
-    if table.n_max < 1:
-        raise ValueError("table must cover n >= 1")
-    log_h = table.log_h
-    if np.isneginf(log_h[1:]).any():
-        n_bad = int(np.nonzero(np.isneginf(log_h[1:]))[0][0]) + 1
-        raise DegenerateModelError(
-            f"h_{n_bad} = 0: the weight sequence puts no mass on permutations of {n_bad}"
-        )
-    return np.exp(log_h[:-1] - log_h[1:])

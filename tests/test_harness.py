@@ -10,12 +10,20 @@ from permcycles import harness
 from permcycles import (
     ExperimentConfig,
     ExperimentReport,
+    PermutationSampler,
+    RngStream,
+    count_in,
+    norm_constants,
+    parse_boxes,
+    parse_weights,
+    point_measure,
     run_avoidance_experiment,
     run_cdf_experiment,
     run_counts_experiment,
     run_experiment,
 )
 from permcycles.harness import _poisson_pmf_dict, write_replicates_csv
+from permcycles.point_process import limit_block_counts
 from permcycles.sampler import SAMPLER_VERSION
 
 
@@ -315,6 +323,48 @@ def test_reports_identical_across_worker_counts():
             report = run_experiment(_cfg(workers=workers, seed=5, **kind_kwargs))
             texts.append(report.to_json())
         assert texts[0] == texts[1] == texts[2]
+
+
+def test_avoidance_limit_blocks_identical_across_worker_counts():
+    # 5000 limit draws are one whole 4096-draw block and a short one
+    boxes = "box:k=1;0,0.3;box:k=2;0.2,0.9;0.1,0.6;open=2;box:k=3;0,0.5;0.2,1;0,0.8"
+    texts = [
+        run_experiment(_cfg(kind="avoidance", boxes=boxes, n=40, replicates=120,
+                            limit_draws=5000, workers=workers, seed=13)).to_json()
+        for workers in (1, 2, 3)
+    ]
+    assert texts[0] == texts[1] == texts[2]
+    payload = json.loads(texts[0])
+    assert payload["metadata"]["limit_stream"] == harness.LIMIT_STREAM_VERSION
+    # block b of the limit lane is drawn from the stream keyed (seed, 1, b)
+    ws, union = parse_weights("ewens:2"), parse_boxes(boxes)
+    counts = np.concatenate([limit_block_counts(ws, 3, union, 4096, RngStream(13, (1, 0))),
+                             limit_block_counts(ws, 3, union, 904, RngStream(13, (1, 1)))])
+    assert payload["results"]["limit_simulation"]["probability"] == float(np.mean(counts == 0))
+
+
+def test_avoid_chunk_counts_match_count_in_per_draw(monkeypatch):
+    # a small allowance makes the chunk count its held cycles many times
+    monkeypatch.setattr(harness, "_HELD_VALUES", 64)
+    ws = parse_weights("ewens:5")
+    table = norm_constants(ws, 200)
+    boxes = "box:k=1;0,0.3;box:k=2;0.2,0.9;0.1,0.6;open=2"
+    got = harness._run_chunk(("avoid", ws, table, 21, boxes, 0, 300))
+    sampler, union = PermutationSampler(ws, table), parse_boxes(boxes)
+    want = [count_in(point_measure(sampler.sample(200, RngStream(21, (0, i)))), union)
+            for i in range(300)]
+    assert got == want
+    assert min(want) == 0 and max(want) >= 2
+
+
+def test_limit_chunks_hold_whole_blocks():
+    block = harness._LIMIT_BLOCK
+    for total in (1, block, 5000, 10 * block + 5):
+        for workers in (1, 2, 3, 8):
+            bounds = harness._chunk_bounds(total, workers, block)
+            assert bounds[0][0] == 0 and bounds[-1][1] == total
+            assert all(e == s for (_, e), (s, _) in zip(bounds, bounds[1:]))
+            assert all(s % block == 0 for s, _ in bounds)
 
 
 def test_run_builds_its_table_once_in_the_caller(monkeypatch):

@@ -378,6 +378,14 @@ def test_spacing_cdfs_accept_eps_zero():
                 assert cdf(x, theta, eps=0.0) == pytest.approx(cdf(x, theta), abs=1e-12)
 
 
+@pytest.mark.parametrize("x,theta", [(0.005, 50.0), (0.01, 50.0), (0.005, 100.0)])
+def test_max_spacing_cdf_raises_where_its_sum_cancels(x, theta):
+    # the alternating inner sum loses every digit here: the clamped series
+    # returned 0.127, 1.1e-5 and 1.0, where the true values are all near 0
+    with pytest.raises(ValueError, match="cancels"):
+        cdf_max_spacing(x, theta)
+
+
 def test_spacing_cdfs_match_the_mixture():
     # deconditioned closed forms against 200k draws of the mixture they
     # should integrate out, on a 50-point grid, three-sigma gate

@@ -36,7 +36,7 @@ from permcycles import (
     tail_intensity_mass,
 )
 from permcycles import point_process
-from permcycles.point_process import intersect_boxes
+from permcycles.point_process import intersect_boxes, limit_block_counts
 
 
 def _box(level, *bounds, open_upper=()):
@@ -45,6 +45,16 @@ def _box(level, *bounds, open_upper=()):
         for i, (lo, hi) in enumerate(bounds)
     )
     return BoxSpec(level, ivs)
+
+
+def _reference_contains(box, point):
+    """Per-point membership in the box intersected with the wedge W_k, kept as a reference."""
+    if len(point) != box.level or point[0] != min(point):
+        return False
+    return all(
+        (x >= iv.lo if iv.lo_closed else x > iv.lo) and (x <= iv.hi if iv.hi_closed else x < iv.hi)
+        for iv, x in zip(box.intervals, point)
+    )
 
 
 def _reference_box_volume(box):
@@ -178,11 +188,11 @@ def test_interval_validation_and_flags():
         Interval(-0.1, 0.5)
     with pytest.raises(BoxSpecError):
         Interval(0.5, 1.2)
-    iv = Interval(0.0, 0.5, hi_closed=False)
-    assert iv.contains(0.0)
-    assert iv.contains(0.25)
-    assert not iv.contains(0.5)
-    assert Interval(0.0, 0.5).contains(0.5)
+    box = BoxSpec(1, (Interval(0.0, 0.5, hi_closed=False),))
+    assert _reference_contains(box, (0.0,))
+    assert _reference_contains(box, (0.25,))
+    assert not _reference_contains(box, (0.5,))
+    assert _reference_contains(BoxSpec(1, (Interval(0.0, 0.5),)), (0.5,))
 
 
 def test_box_spec_validation_and_membership():
@@ -191,10 +201,10 @@ def test_box_spec_validation_and_membership():
     with pytest.raises(BoxSpecError):
         BoxSpec(2, (Interval(0, 1),))
     box = _box(2, (0.0, 1.0), (0.5, 1.0))
-    assert box.contains((0.25, 0.75))
-    assert not box.contains((0.75, 0.25))  # not smallest-first
-    assert not box.contains((0.25, 0.25, 0.9))  # wrong level
-    assert not box.contains((0.25, 0.4))  # second coordinate below the box
+    assert _reference_contains(box, (0.25, 0.75))
+    assert not _reference_contains(box, (0.75, 0.25))  # not smallest-first
+    assert not _reference_contains(box, (0.25, 0.25, 0.9))  # wrong level
+    assert not _reference_contains(box, (0.25, 0.4))  # second coordinate below the box
 
 
 def test_intersect_boxes():
@@ -430,6 +440,51 @@ def test_simulate_limit_process_matches_per_point_draws():
         assert got.levels == want
 
 
+def test_limit_block_counts_equal_count_in_on_the_blocks_own_points():
+    ws = WeightSequence.polynomial(2.5, 0.3)
+    union = parse_boxes("box:k=1;0,0.4;box:k=2;0.1,0.9;0.3,1;open=2;"
+                        "box:k=3;0,0.5;0.2,1;0,0.8;box:k=3;0.1,0.3;0,1;0.5,1")
+    draws = 500
+    got = limit_block_counts(ws, 3, union, draws, RngStream(9, (1, 0)))
+    # the block's points: per level, every draw's Poisson count, then the uniforms in draw order
+    gen = RngStream(9, (1, 0)).gen
+    levels = [{} for _ in range(draws)]
+    for k in range(1, 4):
+        cnt = gen.poisson(ws.theta(k) / k, size=draws)
+        rows = iter(gen.random((int(cnt.sum()), k)).tolist())
+        for d, c in enumerate(cnt.tolist()):
+            if c:
+                levels[d][k] = tuple(min_first(tuple(next(rows))) for _ in range(c))
+    want = [count_in(PointMeasure(0, lv), union) for lv in levels]
+    assert got.tolist() == want
+    assert min(want) == 0 and max(want) >= 2
+
+
+def test_limit_block_counts_do_not_depend_on_the_slice_size(monkeypatch):
+    ws = WeightSequence.ewens(40.0)
+    union = parse_boxes("box:k=1;0.2,0.5;box:k=1;0.4,0.9;box:k=2;0,0.5;0.25,1;open=1")
+    want = limit_block_counts(ws, 2, union, 300, RngStream(3, (1, 2)))
+    monkeypatch.setattr(point_process, "_KERNEL_BLOCK", 64)
+    got = limit_block_counts(ws, 2, union, 300, RngStream(3, (1, 2)))
+    assert got.tolist() == want.tolist()
+
+
+def test_limit_block_memory_stays_bounded_at_large_theta():
+    # ewens:1000 puts ~4.1 million level-1 points into one 4096-draw block;
+    # held and compared against 16 boxes at once they would take ~100 MB
+    ws = WeightSequence.ewens(1000.0)
+    union = parse_boxes(";".join(f"box:k=1;{i / 20:.2f},{i / 20 + 0.03:.2f}" for i in range(16)))
+    tracemalloc.start()
+    try:
+        counts = limit_block_counts(ws, 1, union, 4096, RngStream(4, (1, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    # 16 disjoint boxes of length 0.03 hold 1000 * 0.48 points per draw on average
+    assert abs(counts.mean() - 480.0) < 3.0
+
+
 # ------------------------------------------------------------------ counting
 
 
@@ -470,7 +525,7 @@ def test_count_in_matches_box_contains_with_open_endpoints():
         pm = PointMeasure(0, levels)
         want = sum(
             1 for k in union.levels() for p in pm.restrict(k)
-            if any(b.contains(p) for b in union.boxes_at(k))
+            if any(_reference_contains(b, p) for b in union.boxes_at(k))
         )
         assert count_in(pm, union) == want
 

@@ -15,8 +15,8 @@ from permcycles import (
     WeightSpecError,
     enumerate_h,
     norm_constants,
+    cycle_length_distribution,
     parse_weights,
-    stability_diagnostic,
 )
 
 
@@ -212,28 +212,15 @@ def test_table_h_out_of_range():
         table.h(-1)
 
 
-# ---------------------------------------------------------------- stability
-
-
-def test_stability_uniform_ratios_are_one():
-    diag = stability_diagnostic(norm_constants(WeightSequence.uniform(), 40))
-    assert diag.shape == (40,)
-    assert np.allclose(diag, 1.0, atol=1e-12)
-
-
-def test_stability_ewens_ratio_formula():
-    # h_n / h_{n-1} = (theta + n - 1) / n for constant weights, so the ratio
-    # h_{n-1} / h_n drifts back to 1 like theta/n.
-    theta = 2.0
-    diag = stability_diagnostic(norm_constants(WeightSequence.ewens(theta), 100))
-    assert diag[-1] == pytest.approx(100.0 / (theta + 99.0), rel=1e-12)
-    assert abs(diag[-1] - 1.0) < 0.05
+# ---------------------------------------------------------------- degeneracy
 
 
 def test_degenerate_model_signals():
     # theta_1 = theta_2 = 0 leaves nothing to build permutations of size 2 from.
+    ws = WeightSequence.explicit((0.0, 0.0, 3.0))
     with pytest.raises(DegenerateModelError):
-        stability_diagnostic(norm_constants(WeightSequence.explicit((0.0, 0.0, 3.0)), 2))
+        cycle_length_distribution(ws, norm_constants(ws, 2), 2)
     # an all-zero weight sequence kills every h_n
+    ws = WeightSequence.explicit((0.0,), tail="zero")
     with pytest.raises(DegenerateModelError):
-        stability_diagnostic(norm_constants(WeightSequence.explicit((0.0,), tail="zero"), 4))
+        cycle_length_distribution(ws, norm_constants(ws, 4), 4)
