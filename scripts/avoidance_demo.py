@@ -47,8 +47,8 @@ def main():
     table = norm_constants(ws, args.n)
     sampler = PermutationSampler(ws, table)
     avoided = 0
-    for i in range(args.replicates):
-        perm = sampler.sample(args.n, RngStream(args.seed, (0, i)))
+    for rng in RngStream(args.seed, (0, 0)).consecutive(args.replicates):
+        perm = sampler.sample(args.n, rng)
         avoided += count_in(point_measure(perm), union) == 0
     p_emp = avoided / args.replicates
     se = math.sqrt(p_emp * (1 - p_emp) / args.replicates)
@@ -57,9 +57,10 @@ def main():
 
     k_cap = max(union.levels(), default=1)
     avoided = 0
-    for b, start in enumerate(range(0, args.replicates, BLOCK)):
+    firsts = range(0, args.replicates, BLOCK)
+    for start, rng in zip(firsts, RngStream(args.seed, (1, 0)).consecutive(len(firsts))):
         draws = min(BLOCK, args.replicates - start)
-        counts = limit_block_counts(ws, k_cap, union, draws, RngStream(args.seed, (1, b)))
+        counts = limit_block_counts(ws, k_cap, union, draws, rng)
         avoided += int((counts == 0).sum())
     q_hat = avoided / args.replicates
     se = math.sqrt(q_hat * (1 - q_hat) / args.replicates)

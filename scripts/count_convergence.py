@@ -48,8 +48,9 @@ def main():
         table = norm_constants(ws, n)
         sampler = PermutationSampler(ws, table)
         counts = np.empty((args.replicates, len(ks)), dtype=np.int64)
-        for i in range(args.replicates):
-            perm = sampler.sample(n, RngStream(args.seed, (0, i)))
+        streams = RngStream(args.seed, (0, 0)).consecutive(args.replicates)
+        for i, rng in enumerate(streams):
+            perm = sampler.sample(n, rng)
             st = CycleStatistics.from_permutation(perm, args.k_max)
             counts[i] = [st.counts[k] for k in ks]
         tvs = [tv_against_poisson(counts[:, j], ws.theta(k), k)

@@ -56,8 +56,9 @@ def main():
         big_m = np.empty(args.replicates)
         delta = np.empty(args.replicates)
         big_delta = np.empty(args.replicates)
-        for i in range(args.replicates):
-            perm = sampler.sample(n, RngStream(args.seed, (0, i)))
+        streams = RngStream(args.seed, (0, 0)).consecutive(args.replicates)
+        for i, rng in enumerate(streams):
+            perm = sampler.sample(n, rng)
             fx = CycleStatistics.from_permutation(perm, 1).fixed
             m[i], big_m[i] = fx.min_point / n, fx.max_point / n
             delta[i], big_delta[i] = fx.min_spacing / n, fx.max_spacing / n

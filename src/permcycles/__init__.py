@@ -28,7 +28,6 @@ from .point_process import (
     count_in,
     simulate_limit_process,
     tail_intensity_mass,
-    min_first,
     BoxSpecError,
 )
 from .cycle_stats import (
@@ -52,8 +51,6 @@ from .limit_laws import (
     cdf_max_range,
     cdf_min_fixed_point,
     cdf_max_fixed_point,
-    MixtureSample,
-    sample_spacing_mixture,
     sample_limit_spacings,
     cdf_min_spacing,
     cdf_max_spacing,

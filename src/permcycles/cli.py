@@ -102,8 +102,8 @@ def _cmd_sample(args) -> int:
     ws = parse_weights(args.weights)
     table = norm_constants(ws, args.n)
     sampler = PermutationSampler(ws, table)
-    for i in range(args.count):
-        perm = sampler.sample(args.n, RngStream(args.seed, (_LANE_PERM, i)))
+    for rng in RngStream(args.seed, (_LANE_PERM, 0)).consecutive(max(args.count, 0)):
+        perm = sampler.sample(args.n, rng)
         if args.format == "oneline":
             print(" ".join(str(v) for v in perm.image))
         else:
@@ -140,8 +140,9 @@ def _cmd_stats(args) -> int:
     try:
         writer = csv.writer(out)
         writer.writerow(_stats_header(emit, args.k_max))
-        for i in range(args.count):
-            perm = sampler.sample(args.n, RngStream(args.seed, (_LANE_PERM, i)))
+        streams = RngStream(args.seed, (_LANE_PERM, 0)).consecutive(max(args.count, 0))
+        for i, rng in enumerate(streams):
+            perm = sampler.sample(args.n, rng)
             st = CycleStatistics.from_permutation(perm, args.k_max)
             row: list = [i]
             if "counts" in emit:

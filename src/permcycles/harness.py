@@ -5,7 +5,10 @@ compares the empirical results against either the closed-form limiting laws
 or (for small n) brute-force enumeration.  Replicate i of the permutation
 lane always consumes the random stream keyed (seed, 0, i); the avoidance
 limit simulation draws in fixed blocks of ``_LIMIT_BLOCK`` draws, block b
-from the stream keyed (seed, 1, b), and chunks hold whole blocks.  Reduction
+from the stream keyed (seed, 1, b), and chunks hold whole blocks.  A chunk
+builds one stream and re-keys its Philox per replicate or block
+(``RngStream.consecutive``) with the key of SeedSequence((seed, 2, lane, i)),
+so every draw equals that of a freshly built stream.  Reduction
 happens in replicate order, so reports are byte-identical regardless of how
 many worker processes computed them.
 
@@ -280,8 +283,8 @@ def _scaled_statistic_fn(statistic: str, n: int):
 def _draws(ws: WeightSequence, table: NormalizationTable, seed: int, start: int, stop: int):
     """Permutations of replicates start..stop-1 from a sampler private to one chunk."""
     sampler = PermutationSampler(ws, table)
-    for i in range(start, stop):
-        yield sampler.sample(table.n_max, RngStream(seed, (_LANE_PERM, i)))
+    for rng in RngStream(seed, (_LANE_PERM, start)).consecutive(stop - start):
+        yield sampler.sample(table.n_max, rng)
 
 
 def _run_chunk(task):
@@ -325,10 +328,11 @@ def _run_chunk(task):
     if kind == "limit_avoid":
         _, ws, k_cap, seed, boxes_text, start, stop = task
         union = parse_boxes(boxes_text)
+        firsts = range(start, stop, _LIMIT_BLOCK)
+        streams = RngStream(seed, (_LANE_LIMIT, start // _LIMIT_BLOCK)).consecutive(len(firsts))
         blocks = [
-            limit_block_counts(ws, k_cap, union, min(b + _LIMIT_BLOCK, stop) - b,
-                               RngStream(seed, (_LANE_LIMIT, b // _LIMIT_BLOCK)))
-            for b in range(start, stop, _LIMIT_BLOCK)
+            limit_block_counts(ws, k_cap, union, min(b + _LIMIT_BLOCK, stop) - b, rng)
+            for b, rng in zip(firsts, streams)
         ]
         return np.concatenate(blocks).tolist()
     raise ValueError(f"unknown chunk kind {kind!r}")

@@ -13,7 +13,6 @@ continuous part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "cdf_max_range",
     "cdf_min_fixed_point",
     "cdf_max_fixed_point",
-    "MixtureSample",
-    "sample_spacing_mixture",
     "sample_limit_spacings",
     "cdf_min_spacing",
     "cdf_max_spacing",
@@ -350,49 +347,17 @@ def cdf_max_fixed_point(x: float, theta1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixtureSample:
-    """One draw of the limiting spacing construction.
+def sample_limit_spacings(theta1: float, rng: RngStream, size: int):
+    """Draw ``size`` (min_spacing, max_spacing) pairs from the limiting law, as two arrays.
 
-    ``nu`` fixed points fall in the window; ``gaps_raw`` holds nu + 1
-    independent exponential variables whose normalized values are the
-    spacings.  With S their sum, the smallest spacing is distributed like
-    X_{nu+1} / ((nu + 1) S) and the largest like sum_i X_i / (i S).
-    """
-
-    nu: int
-    gaps_raw: tuple[float, ...]
-
-    def min_spacing(self) -> float:
-        s = math.fsum(self.gaps_raw)
-        return self.gaps_raw[-1] / ((self.nu + 1) * s)
-
-    def max_spacing(self) -> float:
-        s = math.fsum(self.gaps_raw)
-        return math.fsum(x / i for i, x in enumerate(self.gaps_raw, start=1)) / s
-
-
-def sample_spacing_mixture(theta1: float, rng: RngStream) -> MixtureSample:
-    """Draw the (nu, exponentials) pair behind both limiting spacing laws."""
-    if theta1 < 0:
-        raise ValueError(f"theta1 must be >= 0, got {theta1}")
-    nu = int(rng.gen.poisson(theta1))
-    gaps = tuple(float(g) for g in rng.gen.exponential(size=nu + 1))
-    return MixtureSample(nu, gaps)
-
-
-def sample_limit_spacings(theta1: float, rng: RngStream, size: int | None = None):
-    """Draw (min_spacing, max_spacing) pairs from the limiting law.
-
-    Returns a pair of floats, or a pair of arrays when ``size`` is given.
-    The atom at 1 (mass e^{-theta1}) is produced naturally by nu = 0 draws,
-    where both spacings equal 1.
+    A draw takes nu ~ Poisson(theta1) fixed points in the window and nu + 1
+    independent exponentials X_1..X_{nu+1} with sum S: the smallest spacing
+    is X_{nu+1} / ((nu + 1) S) and the largest sum_i X_i / (i S).  The atom
+    at 1 (mass e^{-theta1}) is produced naturally by nu = 0 draws, where
+    both spacings equal 1.
     """
     if theta1 < 0:
         raise ValueError(f"theta1 must be >= 0, got {theta1}")
-    if size is None:
-        ms = sample_spacing_mixture(theta1, rng)
-        return ms.min_spacing(), ms.max_spacing()
     gen = rng.gen
     nu = gen.poisson(theta1, size=size)
     counts = nu + 1

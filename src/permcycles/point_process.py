@@ -43,7 +43,6 @@ __all__ = [
     "simulate_limit_process",
     "limit_block_counts",
     "tail_intensity_mass",
-    "min_first",
 ]
 
 _MAX_BOXES_PER_LEVEL = 16
@@ -99,9 +98,6 @@ class BoxUnion:
     def boxes_at(self, level: int) -> tuple[BoxSpec, ...]:
         return tuple(b for b in self.boxes if b.level == level)
 
-    def contains(self, level: int, point: tuple[float, ...]) -> bool:
-        return len(point) == level and bool(self.inside(level, np.array([point], dtype=float))[0])
-
     def inside(self, level: int, points: np.ndarray) -> np.ndarray:
         """Which rows of the (P, level) array ``points`` lie in the union and in the wedge W_level.
 
@@ -128,14 +124,6 @@ class BoxUnion:
                 np.array([[iv.hi if iv.hi_closed else math.nextafter(iv.hi, -math.inf)
                            for iv in box] for box in ivs]))
         return out
-
-
-def min_first(point: tuple[float, ...]) -> tuple[float, ...]:
-    """Rotate a tuple so its smallest entry comes first (cyclic order kept)."""
-    if not point:
-        raise ValueError("cannot rotate an empty point")
-    i = point.index(min(point))
-    return point[i:] + point[:i]
 
 
 def _wedge_volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

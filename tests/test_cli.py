@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from permcycles import PermutationSampler, RngStream, norm_constants, parse_weights
 from permcycles.cli import main
 
 
@@ -39,6 +40,19 @@ def test_sample_oneline_format_and_determinism(capsys):
         assert sorted(int(v) for v in line.split()) == [1, 2, 3, 4, 5]
     _, out2, _ = _run(capsys, *argv)
     assert out1 == out2
+
+
+def test_sample_prints_fresh_per_replicate_stream_draws(capsys):
+    code, out, _ = _run(
+        capsys, "sample", "--weights", "ewens:2", "--n", "7", "--count", "5", "--seed", "9"
+    )
+    assert code == 0
+    ws = parse_weights("ewens:2")
+    sampler = PermutationSampler(ws, norm_constants(ws, 7))
+    want = [sampler.sample(7, RngStream(9, (0, i))).cycles for i in range(5)]
+    assert out.splitlines() == [
+        "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) for cycles in want
+    ]
 
 
 # -------------------------------------------------------------------- stats

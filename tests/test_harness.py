@@ -357,6 +357,16 @@ def test_avoid_chunk_counts_match_count_in_per_draw(monkeypatch):
     assert min(want) == 0 and max(want) >= 2
 
 
+def test_draws_mid_run_equal_fresh_stream_samples():
+    ws = parse_weights("ewens:1.5")
+    for n, start, stop in ((1, 3, 9), (5, 4093, 4120), (1000, 37, 49)):
+        table = norm_constants(ws, n)
+        sampler = PermutationSampler(ws, table)
+        got = [perm.image for perm in harness._draws(ws, table, 17, start, stop)]
+        want = [sampler.sample(n, RngStream(17, (0, i))).image for i in range(start, stop)]
+        assert got == want
+
+
 def test_limit_chunks_hold_whole_blocks():
     block = harness._LIMIT_BLOCK
     for total in (1, block, 5000, 10 * block + 5):

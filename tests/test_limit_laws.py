@@ -7,6 +7,7 @@ dual-route gates, not re-evaluations of the same code path.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from scipy.integrate import quad
 
 from permcycles import (
     BesselOverflowError,
-    MixtureSample,
     RngStream,
     WeightSequence,
     bessel_i,
@@ -33,7 +33,6 @@ from permcycles import (
     log_bessel_i,
     poisson_count_pmf,
     sample_limit_spacings,
-    sample_spacing_mixture,
 )
 from permcycles.limit_laws import LAW_NAMES, law_support
 
@@ -278,17 +277,54 @@ def test_extreme_fixed_point_cdf_values():
 # ------------------------------------------------------------- spacing laws
 
 
+@dataclass(frozen=True)
+class _MixtureSample:
+    """One draw of the limiting spacing construction, kept as the scalar reference.
+
+    ``nu`` fixed points fall in the window; ``gaps_raw`` holds nu + 1
+    independent exponential variables whose normalized values are the
+    spacings.  With S their sum, the smallest spacing is distributed like
+    X_{nu+1} / ((nu + 1) S) and the largest like sum_i X_i / (i S).
+    """
+
+    nu: int
+    gaps_raw: tuple[float, ...]
+
+    def min_spacing(self) -> float:
+        s = math.fsum(self.gaps_raw)
+        return self.gaps_raw[-1] / ((self.nu + 1) * s)
+
+    def max_spacing(self) -> float:
+        s = math.fsum(self.gaps_raw)
+        return math.fsum(x / i for i, x in enumerate(self.gaps_raw, start=1)) / s
+
+
+def _sample_spacing_mixture(theta1, rng):
+    """Draw the (nu, exponentials) pair behind both limiting spacing laws."""
+    if theta1 < 0:
+        raise ValueError(f"theta1 must be >= 0, got {theta1}")
+    nu = int(rng.gen.poisson(theta1))
+    gaps = tuple(float(g) for g in rng.gen.exponential(size=nu + 1))
+    return _MixtureSample(nu, gaps)
+
+
+def _scalar_limit_spacings(theta1, rng):
+    """One (min_spacing, max_spacing) pair, drawn one exponential at a time."""
+    ms = _sample_spacing_mixture(theta1, rng)
+    return ms.min_spacing(), ms.max_spacing()
+
+
 def test_mixture_sample_hand_values():
-    assert MixtureSample(0, (0.7,)).min_spacing() == pytest.approx(1.0, rel=1e-15)
-    assert MixtureSample(0, (0.7,)).max_spacing() == pytest.approx(1.0, rel=1e-15)
-    ms = MixtureSample(2, (1.0, 2.0, 3.0))
+    assert _MixtureSample(0, (0.7,)).min_spacing() == pytest.approx(1.0, rel=1e-15)
+    assert _MixtureSample(0, (0.7,)).max_spacing() == pytest.approx(1.0, rel=1e-15)
+    ms = _MixtureSample(2, (1.0, 2.0, 3.0))
     assert ms.min_spacing() == pytest.approx(3.0 / (3 * 6.0), rel=1e-14)
     assert ms.max_spacing() == pytest.approx((1.0 + 1.0 + 1.0) / 6.0, rel=1e-14)
 
 
 def test_sample_spacing_mixture_behaviour():
     rng = RngStream(31, 0)
-    draws = [sample_spacing_mixture(1.0, rng) for _ in range(20_000)]
+    draws = [_sample_spacing_mixture(1.0, rng) for _ in range(20_000)]
     for ms in draws[:200]:
         assert len(ms.gaps_raw) == ms.nu + 1
         assert all(g > 0 for g in ms.gaps_raw)
@@ -297,12 +333,12 @@ def test_sample_spacing_mixture_behaviour():
     assert abs(nus.mean() - 1.0) < 4 * math.sqrt(1.0 / len(draws))
     assert abs(nus.var() - 1.0) < 0.05
     with pytest.raises(ValueError):
-        sample_spacing_mixture(-1.0, RngStream(0, 0))
+        _sample_spacing_mixture(-1.0, RngStream(0, 0))
 
 
 def test_sample_limit_spacings_scalar_and_batch():
-    lo, hi = sample_limit_spacings(1.0, RngStream(5, 1))
-    lo2, hi2 = sample_limit_spacings(1.0, RngStream(5, 1))
+    lo, hi = _scalar_limit_spacings(1.0, RngStream(5, 1))
+    lo2, hi2 = _scalar_limit_spacings(1.0, RngStream(5, 1))
     assert (lo, hi) == (lo2, hi2)
     mins, maxs = sample_limit_spacings(1.0, RngStream(5, 2), size=50_000)
     assert mins.shape == maxs.shape == (50_000,)
@@ -318,7 +354,7 @@ def test_sample_limit_spacings_scalar_and_batch():
 def test_sample_limit_spacings_batch_matches_scalar_law():
     theta = 1.4
     batch_min, batch_max = sample_limit_spacings(theta, RngStream(6, 0), size=30_000)
-    scalar = [sample_limit_spacings(theta, RngStream(6, (1, i))) for i in range(10_000)]
+    scalar = [_scalar_limit_spacings(theta, RngStream(6, (1, i))) for i in range(10_000)]
     s_min = np.array([v[0] for v in scalar])
     s_max = np.array([v[1] for v in scalar])
     assert ks_two_sample(batch_min, s_min) < 0.025
