@@ -33,7 +33,6 @@ from .point_process import (
 from .cycle_stats import (
     CycleStatistics,
     FixedPointSummary,
-    cycle_counts,
     sum_of_k_cycles,
     cycle_ranges,
     fixed_point_summary,
@@ -43,9 +42,6 @@ from .limit_laws import (
     poisson_count_pmf,
     laplace_additive,
     laplace_k_cycle_sum,
-    bessel_i,
-    log_bessel_i,
-    BesselOverflowError,
     cdf_fixed_point_sum,
     cdf_min_range,
     cdf_max_range,

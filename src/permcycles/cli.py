@@ -102,7 +102,7 @@ def _cmd_sample(args) -> int:
     ws = parse_weights(args.weights)
     table = norm_constants(ws, args.n)
     sampler = PermutationSampler(ws, table)
-    for rng in RngStream(args.seed, (_LANE_PERM, 0)).consecutive(max(args.count, 0)):
+    for rng in RngStream(args.seed, (_LANE_PERM, 0)).consecutive(args.count):
         perm = sampler.sample(args.n, rng)
         if args.format == "oneline":
             print(" ".join(str(v) for v in perm.image))
@@ -135,12 +135,12 @@ def _cmd_stats(args) -> int:
     ws = parse_weights(args.weights)
     table = norm_constants(ws, args.n)
     sampler = PermutationSampler(ws, table)
+    streams = RngStream(args.seed, (_LANE_PERM, 0)).consecutive(args.count)
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(_stats_header(emit, args.k_max))
-        streams = RngStream(args.seed, (_LANE_PERM, 0)).consecutive(max(args.count, 0))
         for i, rng in enumerate(streams):
             perm = sampler.sample(args.n, rng)
             st = CycleStatistics.from_permutation(perm, args.k_max)

@@ -26,7 +26,6 @@ from .sampler import Permutation
 __all__ = [
     "FixedPointSummary",
     "CycleStatistics",
-    "cycle_counts",
     "sum_of_k_cycles",
     "cycle_ranges",
     "fixed_point_summary",
@@ -39,17 +38,6 @@ class FixedPointSummary(NamedTuple):
     max_point: int
     min_spacing: int
     max_spacing: int
-
-
-def cycle_counts(perm: Permutation, k_max: int) -> dict[int, int]:
-    """Number of k-cycles for each k = 1..k_max (zeros included)."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    counts = {k: 0 for k in range(1, k_max + 1)}
-    for c in perm.cycles:
-        if len(c) <= k_max:
-            counts[len(c)] += 1
-    return counts
 
 
 def sum_of_k_cycles(perm: Permutation, k: int) -> int:

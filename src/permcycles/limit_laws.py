@@ -3,10 +3,14 @@
 As n grows, the k-cycle counts become independent Poisson(theta_k / k)
 variables, and the scaled statistics of the cycle point measure converge to
 laws of the limiting Poisson process.  This module evaluates those laws:
-Laplace transforms of additive statistics, the series CDF of the scaled
+Laplace transforms of additive statistics, the CDF of the scaled
 fixed-point sum, the range and extreme CDFs, and the spacing laws of the
-limiting fixed-point configuration.  Every CDF with a point mass reports it
-through :func:`law_atoms` so callers can treat atoms separately from the
+limiting fixed-point configuration.  The fixed-point sum and the spacing
+laws are Poisson(theta1) mixtures over the number of level-1 points; given
+r points, the sum and the largest spacing are B-spline (Irwin-Hall)
+quantities, evaluated by a recursion with non-negative weights, so their
+values lie in [0, 1] without clamping.  Every CDF with a point mass reports
+it through :func:`law_atoms` so callers can treat atoms separately from the
 continuous part.
 """
 
@@ -24,9 +28,6 @@ __all__ = [
     "poisson_count_pmf",
     "laplace_additive",
     "laplace_k_cycle_sum",
-    "bessel_i",
-    "log_bessel_i",
-    "BesselOverflowError",
     "cdf_fixed_point_sum",
     "cdf_min_range",
     "cdf_max_range",
@@ -164,107 +165,39 @@ def laplace_k_cycle_sum(theta_k: float, k: int, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel functions of integer order (series evaluation)
+# Scaled fixed-point sum
 # ---------------------------------------------------------------------------
 
 
-class BesselOverflowError(OverflowError):
-    """I_j(x) exceeds the float range; carries the log-scale value instead."""
-
-    def __init__(self, j: int, x: float, log_value: float):
-        super().__init__(
-            f"I_{j}({x!r}) overflows float64; log value {log_value!r} "
-            f"is available via log_bessel_i"
-        )
-        self.log_value = log_value
-
-
-def bessel_i(j: int, x: float, eps: float = 1e-14) -> float:
-    """Modified Bessel function I_j(x) by its ascending series.
-
-    The series sum_m (x/2)^{2m+j} / (m! (m+j)!) has positive terms, so
-    truncating once a term drops below eps times the running sum keeps the
-    relative error within a small multiple of eps.  Raises
-    :class:`BesselOverflowError` (carrying the log-scale value) when the
-    result cannot be represented.
-    """
-    if j < 0 or j != int(j):
-        raise ValueError(f"order must be a non-negative integer, got {j!r}")
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if x == 0.0:
-        return 1.0 if j == 0 else 0.0
-    half = x / 2.0
-    log_term = j * math.log(half) - math.lgamma(j + 1)
-    if log_term > 700.0:
-        raise BesselOverflowError(j, x, log_bessel_i(j, x, eps))
-    term = math.exp(log_term)
-    total = term
-    m = 1
-    while True:
-        term *= half * half / (m * (m + j))
-        total += term
-        if math.isinf(total):
-            raise BesselOverflowError(j, x, log_bessel_i(j, x, eps))
-        if term < eps * total:
-            return total
-        m += 1
-
-
-def log_bessel_i(j: int, x: float, eps: float = 1e-14) -> float:
-    """log I_j(x), evaluated entirely in log scale (no overflow)."""
-    if j < 0 or j != int(j):
-        raise ValueError(f"order must be a non-negative integer, got {j!r}")
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0 if j == 0 else -math.inf
-    log_half = math.log(x / 2.0)
-    log_term = j * log_half - math.lgamma(j + 1)
-    log_total = log_term
-    m = 1
-    while True:
-        log_term += 2.0 * log_half - math.log(m) - math.log(m + j)
-        log_total = np.logaddexp(log_total, log_term)
-        # terms rise then fall; stop only on the falling side
-        if log_term < log_total + math.log(eps) and m > x / 2.0:
-            return float(log_total)
-        m += 1
-
-
-def cdf_fixed_point_sum(x: float, theta1: float, eps: float = 1e-14) -> float:
+def cdf_fixed_point_sum(x: float, theta1: float, eps: float = 1e-12) -> float:
     """CDF of the limiting scaled sum of fixed points.
 
-    The law is compound Poisson: a Poisson(theta1) number of independent
-    uniforms on [0,1] summed together, giving the series
+    The law is compound Poisson: a Poisson(theta1) number r of independent
+    uniforms on [0, 1] summed together, so F(x) = sum_r pois(r) F_r(x) with
+    F_r the Irwin-Hall CDF, an atom of mass e^{-theta1} at 0 and a
+    continuous part elsewhere.  F_r comes from the Cox-de Boor recursion
 
-        F(x) = e^{-theta1} * sum_{j=0}^{floor(x)}
-               ((-1)^j / j!) * (theta1 (x - j))^{j/2} * I_j(2 sqrt(theta1 (x - j))),
+        F_r(y) = (y F_{r-1}(y) + (r - y) F_{r-1}(y - 1)) / r,  F_0(y) = 1{y >= 0},
 
-    with an atom of mass e^{-theta1} at 0 and a continuous part elsewhere.
+    run on one row y = x, x - 1, ... with y clipped to r, so both weights
+    are non-negative and nothing cancels.  ``eps`` bounds the Poisson mass
+    left out, as in the spacing laws.
     """
     if theta1 < 0:
         raise ValueError(f"theta1 must be >= 0, got {theta1}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     if x < 0:
         return 0.0
-    if theta1 == 0.0:
-        return 1.0
+    terms = list(_poisson_terms(theta1, eps))
+    # F_r(x - j) needs F_{r-1} at j and j + 1, so F_R(x) needs j <= R; F_0 is 0 past j = x
+    y = x - np.arange(int(min(x, terms[-1][0])) + 2)
+    row = (y >= 0).astype(float)
     total = 0.0
-    for j in range(int(math.floor(x)) + 1):
-        a = theta1 * (x - j)
-        if a == 0.0:
-            term = 1.0 if j == 0 else 0.0
-        else:
-            term = a ** (j / 2.0) * bessel_i(j, 2.0 * math.sqrt(a), eps)
-        if j % 2:
-            term = -term
-        total += term / math.factorial(j)
-    value = math.exp(-theta1) * total
-    return min(1.0, max(0.0, value))
+    for r, pmf in terms:
+        if r:
+            yr = np.minimum(y[:-1], r)
+            row[:-1] = (yr * row[:-1] + (r - yr) * row[1:]) / r
+        total += pmf * float(row[0])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -411,24 +344,24 @@ def cdf_min_spacing(x: float, theta1: float, eps: float = 1e-12) -> float:
         base = 1.0 - (r + 1) * x
         if base > 0.0:
             survival += pmf * base ** r
-        elif r == 0:
-            survival += pmf
-    return min(1.0, max(0.0, 1.0 - survival))
+    return 1.0 - survival
 
 
 def cdf_max_spacing(x: float, theta1: float, eps: float = 1e-12) -> float:
     """CDF of the limiting largest fixed-point spacing.
 
-    Conditional on r fixed points the largest of the r + 1 uniform spacings
-    has CDF sum_{j} (-1)^j C(r+1, j) (1 - jx)_+^r, and mixing over
-    r ~ Poisson(theta1) gives the unconditional law.  The r = 0 term is the
-    atom at 1 again.
+    Conditional on r fixed points the r + 1 uniform spacings all stay below
+    x with probability r! x^r f_{r+1}(1/x), f_{r+1} the Irwin-Hall density
+    of r + 1 uniforms.  Its Cox-de Boor recursion, scaled to
+    h_r[j] = r! x^r f_{r+1}(1/x - j), reads
 
-    The inner sum alternates and cancels for r in the tens, so its rounding
-    error is bounded by sum_r pois(r) sum_j |term_j| (r + 2) 2^-53; raises
-    ``ValueError`` when that bound exceeds 1e-9, or when the result leaves
-    [0, 1] by more than it.  A result off [0, 1] by less is rounding and is
-    returned as the nearest end.
+        h_r[j] = (1 - jx) h_{r-1}[j] + ((r + 1 + j)x - 1)_+ h_{r-1}[j + 1],
+
+    with weights that are never negative where h_{r-1}[j] is not 0.  Mixing
+    h_r[0] over r ~ Poisson(theta1) gives the law; r = 0 is the atom at 1.
+    The row starts at r = 1, the triangle h_1[j] = (min(1 - jx, (j+2)x - 1))_+:
+    the r = 0 indicator has a knot at 1/x, which rounding can put one index
+    off when 1/x is a whole number.
     """
     if theta1 < 0:
         raise ValueError(f"theta1 must be >= 0, got {theta1}")
@@ -436,27 +369,17 @@ def cdf_max_spacing(x: float, theta1: float, eps: float = 1e-12) -> float:
         return 0.0
     if x >= 1:
         return 1.0
+    terms = list(_poisson_terms(theta1, eps))
+    j = np.arange(terms[-1][0] + 1)
+    left = 1.0 - j * x
+    row = np.maximum(0.0, np.minimum(left, (j + 2) * x - 1.0))
     total = 0.0
-    err = 0.0
-    for r, pmf in _poisson_terms(theta1, eps):
-        inner = 0.0
-        size = 0.0
-        for j in range(r + 2):
-            base = 1.0 - j * x
-            if base <= 0.0:
-                break
-            term = math.comb(r + 1, j) * base ** r
-            inner += -term if j % 2 else term
-            size += term
-        total += pmf * inner
-        err += pmf * size * (r + 2)
-    err *= 2.0 ** -53
-    if err > 1e-9 or not -err <= total <= 1.0 + err:
-        raise ValueError(
-            f"cdf_max_spacing({x!r}, {theta1!r}) = {total!r} with rounding error up to "
-            f"{err:.3g}: the alternating sum cancels too much at this theta1"
-        )
-    return min(1.0, max(0.0, total))
+    for r, pmf in terms[1:]:
+        if r > 1:
+            right = np.maximum(0.0, (r + 1 + j[:-1]) * x - 1.0)
+            row[:-1] = left[:-1] * row[:-1] + right * row[1:]
+        total += pmf * float(row[0])
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,25 @@ def test_stats_bad_emit_group(capsys):
     assert "zebras" in err
 
 
+@pytest.mark.parametrize("command", ["sample", "stats"])
+def test_negative_count_is_an_error(capsys, command):
+    code, out, err = _run(
+        capsys, command, "--weights", "ewens:2", "--n", "9", "--count", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "count" in err
+
+
+@pytest.mark.parametrize("command,lines", [("sample", 0), ("stats", 1)])
+def test_zero_count_draws_nothing(capsys, command, lines):
+    code, out, err = _run(
+        capsys, command, "--weights", "ewens:2", "--n", "9", "--count", "0"
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == lines
+
+
 # -------------------------------------------------------------------- exact
 
 
@@ -166,6 +185,22 @@ def test_limit_cdf_known_value(capsys):
     # P(sum of Poisson(1)-many uniforms <= 1), frozen from an Irwin-Hall
     # convolution at 40 digits: 0.83861256712602581699
     assert f == pytest.approx(0.8386125671260258, abs=1e-12)
+
+
+def test_limit_cdf_where_the_series_failed(capsys):
+    # S1 at theta = 20 printed 0.788 and 0.0; Delta at theta = 50 exited 2
+    code, out, _ = _run(
+        capsys, "limit", "cdf", "--law", "S1", "--theta", "20", "--grid", "30:43:13"
+    )
+    assert code == 0
+    fs = [float(row.split(",")[1]) for row in out.strip().splitlines()[1:]]
+    assert fs == pytest.approx([0.9999999995640, 1.0], abs=1e-12)
+    code, out, err = _run(
+        capsys, "limit", "cdf", "--law", "Delta", "--theta", "50", "--grid", "0.005:0.01:0.005"
+    )
+    assert code == 0 and err == ""
+    fs = [float(row.split(",")[1]) for row in out.strip().splitlines()[1:]]
+    assert len(fs) == 2 and all(0.0 <= f <= 1e-60 for f in fs)
 
 
 def test_limit_cdf_missing_theta(capsys):

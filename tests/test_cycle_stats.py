@@ -14,7 +14,6 @@ from permcycles import (
     RngStream,
     WeightSequence,
     additive_statistic,
-    cycle_counts,
     cycle_ranges,
     fixed_point_summary,
     norm_constants,
@@ -29,6 +28,20 @@ _SAMPLER = PermutationSampler(_WS, _TABLE)
 
 def _draw(n, seed):
     return _SAMPLER.sample(n, RngStream(seed, 0))
+
+
+def cycle_counts(perm: Permutation, k_max: int) -> dict[int, int]:
+    """Number of k-cycles for each k = 1..k_max (zeros included).
+
+    The reference that ``CycleStatistics.counts`` is checked against.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    counts = {k: 0 for k in range(1, k_max + 1)}
+    for c in perm.cycles:
+        if len(c) <= k_max:
+            counts[len(c)] += 1
+    return counts
 
 
 def test_cycle_counts_examples():

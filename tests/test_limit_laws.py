@@ -1,23 +1,24 @@
-"""Closed-form limiting laws: transforms, Bessel series, CDFs, spacing mixture.
+"""Closed-form limiting laws: transforms, CDFs, spacing mixture.
 
 Frozen decimal literals in this file were computed with mpmath at 40 digits
-(Bessel values, the compound-Poisson CDF) or follow from elementary closed
-forms evaluated independently; the quadrature-based checks are genuine
-dual-route gates, not re-evaluations of the same code path.
+(the compound-Poisson CDF) or follow from elementary closed forms evaluated
+independently; the fixed-point sum and largest-spacing CDFs are also checked
+against their alternating sums in exact rational arithmetic, and the
+quadrature-based checks are genuine dual-route gates, not re-evaluations of
+the same code path.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from permcycles import (
-    BesselOverflowError,
     RngStream,
     WeightSequence,
-    bessel_i,
     cdf_fixed_point_sum,
     cdf_max_fixed_point,
     cdf_max_range,
@@ -30,7 +31,6 @@ from permcycles import (
     laplace_k_cycle_sum,
     law_atoms,
     limit_cdf,
-    log_bessel_i,
     poisson_count_pmf,
     sample_limit_spacings,
 )
@@ -138,50 +138,6 @@ def test_laplace_additive_non_symmetric_path():
     assert masked == pytest.approx(sym, abs=5e-3)
 
 
-# ---------------------------------------------------------- Bessel functions
-
-
-def test_bessel_i_against_mpmath_literals():
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(4, 0.0) == 0.0
-    assert bessel_i(0, 1.0) == pytest.approx(1.2660658777520083356, rel=1e-13)
-    assert bessel_i(3, 7.5) == pytest.approx(142.06144236359167641, rel=1e-12)
-    assert bessel_i(10, 0.3) == pytest.approx(1.5923473578552359099e-15, rel=1e-12)
-    assert bessel_i(1, 40.0) == pytest.approx(1.4707396163259352739e16, rel=1e-12)
-
-
-def test_bessel_i_against_integral_representation():
-    # I_j(x) = (1/pi) * integral_0^pi e^{x cos phi} cos(j phi) dphi: an
-    # entirely independent evaluation route for the series
-    for j, x in ((0, 1.0), (1, 2.0), (3, 7.5), (2, 0.25)):
-        val, err = quad(lambda p: math.exp(x * math.cos(p)) * math.cos(j * p), 0.0, math.pi)
-        assert bessel_i(j, x) == pytest.approx(val / math.pi, rel=1e-10, abs=1e-12)
-
-
-def test_log_bessel_i():
-    assert log_bessel_i(0, 1000.0) == pytest.approx(995.62730888986946467, rel=1e-13)
-    assert log_bessel_i(5, 800.0) == pytest.approx(795.72327722292241325, rel=1e-13)
-    assert log_bessel_i(0, 1.0) == pytest.approx(math.log(1.2660658777520083356), rel=1e-13)
-    assert log_bessel_i(3, 0.0) == -math.inf
-
-
-def test_bessel_overflow_carries_log_value():
-    with pytest.raises(BesselOverflowError) as err:
-        bessel_i(5, 800.0)
-    assert err.value.log_value == pytest.approx(795.72327722292241325, rel=1e-12)
-    assert "log_bessel_i" in str(err.value)
-    assert isinstance(err.value, OverflowError)
-
-
-def test_bessel_validation():
-    with pytest.raises(ValueError):
-        bessel_i(-1, 1.0)
-    with pytest.raises(ValueError):
-        bessel_i(0, -1.0)
-    with pytest.raises(ValueError):
-        bessel_i(0, 1.0, eps=0.0)
-
-
 # ------------------------------------------------ scaled fixed-point sum CDF
 
 
@@ -219,10 +175,11 @@ def test_cdf_fixed_point_sum_laplace_identity(t):
 def _fixed_point_sum_laplace_series(theta1: float, t: float, terms: int = 60) -> float:
     """t times the Laplace transform of cdf_fixed_point_sum, by its own series.
 
-    Integrating e^{-tx} dF(x) by parts term by term collapses the Bessel
-    series into exp(theta1 (e^{-t} - t) / t ... ) in closed form; this
-    partial-sum version checks that the CDF series and the transform
-    exp(theta1 ((1 - e^{-t})/t - 1)) agree.
+    Writing F as its alternating sum over unit shifts x - j and integrating
+    e^{-tx} dF(x) by parts term by term gives e^{theta1 (1/t - 1)} times
+    the partial sums of exp(-theta1 e^{-t} / t); this version checks that
+    the shift expansion and the transform exp(theta1 ((1 - e^{-t})/t - 1))
+    agree.
     """
     z = -theta1 * math.exp(-t) / t
     total = 0.0
@@ -235,11 +192,68 @@ def _fixed_point_sum_laplace_series(theta1: float, t: float, terms: int = 60) ->
 
 
 def test_fixed_point_sum_series_transform_identity():
-    # the partial-sum route through the Bessel series collapses to the same
+    # the partial-sum route through the shift expansion collapses to the same
     # closed form as the k = 1 cycle-sum transform
     for t in (0.5, 1.0, 2.0):
         got = _fixed_point_sum_laplace_series(1.3, t)
         assert got == pytest.approx(laplace_k_cycle_sum(1.3, 1, t), rel=1e-12)
+
+
+def _poisson_weight(theta: float, r: int) -> float:
+    return math.exp(r * math.log(theta) - theta - math.lgamma(r + 1))
+
+
+def _exact_mixture(conditional, x: float, theta: float) -> float:
+    """sum_r pois(r) conditional(x, r), each conditional law exact and rounded once.
+
+    Runs r up to theta + 10 sqrt(theta) + 30, past all but ~1e-20 of the
+    Poisson mass, so this is the law itself and not the code's truncated
+    mixture.
+    """
+    top = int(theta + 10.0 * math.sqrt(theta) + 30.0)
+    return math.fsum(_poisson_weight(theta, r) * float(conditional(x, r)) for r in range(top + 1))
+
+
+def _exact_irwin_hall_cdf(x: float, r: int) -> Fraction:
+    """P(sum of r uniforms <= x) = sum_k (-1)^k C(r, k) (x - k)^r / r!, in rationals."""
+    if x < 0:
+        return Fraction(0)
+    if x >= r:
+        return Fraction(1)
+    num, den = x.as_integer_ratio()
+    total = sum((-1) ** k * math.comb(r, k) * (num - k * den) ** r for k in range(int(x) + 1))
+    return Fraction(total, den ** r * math.factorial(r))
+
+
+def _exact_max_spacing_cdf(x: float, r: int) -> Fraction:
+    """P(all r + 1 uniform spacings <= x) = sum_j (-1)^j C(r+1, j) (1 - jx)_+^r, in rationals."""
+    num, den = x.as_integer_ratio()
+    total = sum(
+        (-1) ** j * math.comb(r + 1, j) * (den - j * num) ** r
+        for j in range(r + 2) if den - j * num > 0
+    )
+    return Fraction(total, den ** r)
+
+
+@pytest.mark.parametrize("x,want", [(30.0, 0.9999999995640), (43.0, 1.0)])
+def test_cdf_fixed_point_sum_at_theta_20(x, want):
+    # the Bessel series this replaced returned 0.788 and 0.0 here
+    got = cdf_fixed_point_sum(x, 20.0)
+    assert got == pytest.approx(_exact_mixture(_exact_irwin_hall_cdf, x, 20.0), abs=1e-12)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_cdf_fixed_point_sum_at_theta_300():
+    # the Bessel series overflowed here; the mean is theta / 2 = 150
+    got = cdf_fixed_point_sum(150.5, 300.0)
+    assert got == pytest.approx(_exact_mixture(_exact_irwin_hall_cdf, 150.5, 300.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.5, 4.75, 50.0])
+def test_cdf_fixed_point_sum_matches_exact_arithmetic(theta):
+    for x in (0.125, 1.0, 2.5, 11.5, theta / 2 + 0.375):
+        got = cdf_fixed_point_sum(x, theta)
+        assert got == pytest.approx(_exact_mixture(_exact_irwin_hall_cdf, x, theta), abs=1e-12)
 
 
 # ------------------------------------------------------ range / extreme CDFs
@@ -415,11 +429,54 @@ def test_spacing_cdfs_accept_eps_zero():
 
 
 @pytest.mark.parametrize("x,theta", [(0.005, 50.0), (0.01, 50.0), (0.005, 100.0)])
-def test_max_spacing_cdf_raises_where_its_sum_cancels(x, theta):
-    # the alternating inner sum loses every digit here: the clamped series
-    # returned 0.127, 1.1e-5 and 1.0, where the true values are all near 0
-    with pytest.raises(ValueError, match="cancels"):
-        cdf_max_spacing(x, theta)
+def test_max_spacing_cdf_is_tiny_where_the_alternating_sum_cancels(x, theta):
+    # the alternating sum lost every digit here (0.127, 1.1e-5 and 1.0 once
+    # clamped); the exact values are 1.2e-224, 1.7e-76 and 9.1e-153
+    assert 0.0 <= cdf_max_spacing(x, theta) <= 1e-60
+
+
+def test_cdf_max_spacing_at_theta_50():
+    # at x = 0.03 the alternating sum was 1.7e-12 off; at x = 0.05, where 1/x
+    # is whole, a recursion started from the r = 0 indicator doubles the value
+    for x in (0.03, 0.05):
+        got = cdf_max_spacing(x, 50.0)
+        assert got == pytest.approx(_exact_mixture(_exact_max_spacing_cdf, x, 50.0), abs=1e-12)
+    assert cdf_max_spacing(0.05, 50.0) == pytest.approx(0.0056912589975, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.5, 4.75, 50.0])
+def test_cdf_max_spacing_matches_exact_arithmetic(theta):
+    # x = 0.25 and 0.125 put whole numbers at 1/x, where the recursion's
+    # knots meet its row indices
+    for x in (0.0625, 0.125, 0.2, 0.25, 0.5, 0.75):
+        got = cdf_max_spacing(x, theta)
+        assert got == pytest.approx(_exact_mixture(_exact_max_spacing_cdf, x, theta), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.001, 0.5, 5.0, 50.0, 300.0])
+def test_fixed_point_cdfs_are_cdfs_with_their_atoms(theta):
+    # no clamp keeps these in [0, 1]: the recursions and the survival sum stay
+    # there by construction, over the whole range of theta the mixture covers
+    atom = math.exp(-theta)
+    top = max(10.0, theta)
+    grids = {
+        "S1": np.linspace(-0.5, top, 200),
+        "delta": np.linspace(-0.01, 1.01, 200),
+        "Delta": np.linspace(-0.01, 1.01, 200),
+    }
+    for law, grid in grids.items():
+        cdf = limit_cdf(law, theta)
+        vals = [cdf(float(x)) for x in grid]
+        assert all(0.0 <= v <= 1.0 for v in vals), law
+        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), law
+    s1 = limit_cdf("S1", theta)
+    assert s1(-1e-12) == 0.0
+    assert s1(0.0) == pytest.approx(atom, rel=1e-12)
+    for law in ("delta", "Delta"):
+        cdf = limit_cdf(law, theta)
+        below = cdf(1.0 - 1e-12)
+        assert cdf(1.0) - below == pytest.approx(atom, abs=1e-11), law
+        assert below == pytest.approx(1.0 - atom, abs=1e-11), law
 
 
 def test_spacing_cdfs_match_the_mixture():
