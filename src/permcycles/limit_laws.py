@@ -360,8 +360,8 @@ def cdf_max_spacing(x: float, theta1: float, eps: float = 1e-12) -> float:
     with weights that are never negative where h_{r-1}[j] is not 0.  Mixing
     h_r[0] over r ~ Poisson(theta1) gives the law; r = 0 is the atom at 1.
     The row starts at r = 1, the triangle h_1[j] = (min(1 - jx, (j+2)x - 1))_+:
-    the r = 0 indicator has a knot at 1/x, which rounding can put one index
-    off when 1/x is a whole number.
+    the knots of the r = 0 indicator 1{0 <= 1/x - j < 1} fall on row indices
+    when 1/x is whole, and rounding can then count one index too many.
     """
     if theta1 < 0:
         raise ValueError(f"theta1 must be >= 0, got {theta1}")

@@ -446,8 +446,8 @@ def test_cdf_max_spacing_at_theta_50():
 
 @pytest.mark.parametrize("theta", [0.5, 4.75, 50.0])
 def test_cdf_max_spacing_matches_exact_arithmetic(theta):
-    # x = 0.25 and 0.125 put whole numbers at 1/x, where the recursion's
-    # knots meet its row indices
+    # 1/x is whole at all but x = 0.75; at x = 0.2, as at 0.05, rounding
+    # gives 1 - 4x < x, where a start from the r = 0 indicator doubled the value
     for x in (0.0625, 0.125, 0.2, 0.25, 0.5, 0.75):
         got = cdf_max_spacing(x, theta)
         assert got == pytest.approx(_exact_mixture(_exact_max_spacing_cdf, x, theta), abs=1e-12)
@@ -455,8 +455,8 @@ def test_cdf_max_spacing_matches_exact_arithmetic(theta):
 
 @pytest.mark.parametrize("theta", [0.001, 0.5, 5.0, 50.0, 300.0])
 def test_fixed_point_cdfs_are_cdfs_with_their_atoms(theta):
-    # no clamp keeps these in [0, 1]: the recursions and the survival sum stay
-    # there by construction, over the whole range of theta the mixture covers
+    # no clamp keeps these in [0, 1] any more, over the whole range of theta
+    # the Poisson mixture covers: they stay there because nothing cancels
     atom = math.exp(-theta)
     top = max(10.0, theta)
     grids = {
