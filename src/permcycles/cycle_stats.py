@@ -63,7 +63,8 @@ def cycle_ranges(perm: Permutation, k: int) -> tuple[int, int]:
 def fixed_point_summary(perm: Permutation) -> FixedPointSummary:
     """Smallest/largest fixed point and smallest/largest spacing, with conventions."""
     n = perm.n
-    fps = [i for i in range(1, n + 1) if perm.image[i - 1] == i]
+    # already sorted: cycles come in increasing order of their minima
+    fps = [c[0] for c in perm.cycles if len(c) == 1]
     if not fps:
         return FixedPointSummary(n + 1, 0, n + 1, n + 1)
     gaps = [fps[0]]
@@ -89,7 +90,7 @@ def additive_statistic(
 
 @dataclass(frozen=True)
 class CycleStatistics:
-    """One permutation's statistics bundle, computed in a single pass."""
+    """One permutation's statistics bundle, read off its cycles."""
 
     n: int
     counts: dict[int, int]
@@ -106,11 +107,8 @@ class CycleStatistics:
         counts = {k: 0 for k in range(1, k_max + 1)}
         sums = {k: 0 for k in range(1, k_max + 1)}
         spreads: dict[int, list[int]] = {k: [] for k in range(2, k_max + 1)}
-        fps = []
         for c in perm.cycles:
             length = len(c)
-            if length == 1:
-                fps.append(c[0])
             if length <= k_max:
                 counts[length] += 1
                 sums[length] += sum(c)
@@ -122,12 +120,4 @@ class CycleStatistics:
         max_range = {
             k: (max(v) if v else 0) for k, v in spreads.items()
         }
-        if fps:
-            fps.sort()
-            gaps = [fps[0]]
-            gaps += [b - a for a, b in zip(fps, fps[1:])]
-            gaps.append(n + 1 - fps[-1])
-            fixed = FixedPointSummary(fps[0], fps[-1], min(gaps), max(gaps))
-        else:
-            fixed = FixedPointSummary(n + 1, 0, n + 1, n + 1)
-        return cls(n, counts, sums, min_range, max_range, fixed)
+        return cls(n, counts, sums, min_range, max_range, fixed_point_summary(perm))

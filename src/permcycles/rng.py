@@ -108,10 +108,6 @@ class RngStream:
         key = np.random.SeedSequence((self.seed, len(self.stream)) + self.stream)
         self.gen = np.random.Generator(np.random.Philox(key))
 
-    def substream(self, index: int) -> "RngStream":
-        """A child stream at one more level of the index hierarchy."""
-        return RngStream(self.seed, self.stream + (index,))
-
     def consecutive(self, count: int) -> Iterator["RngStream"]:
         """This stream, then the ``count - 1`` streams after it in the last index.
 
@@ -148,9 +144,6 @@ class RngStream:
                 bitgen.state = state
                 self.stream = head + (index,)
                 yield self
-
-    def uniform(self, size=None):
-        return self.gen.random(size)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"

@@ -81,10 +81,16 @@ def _trace_cycles(image: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n} stored as its image tuple, image[i-1] = sigma(i)."""
+    """A permutation of {1..n} stored as its canonical cycles.
+
+    Each cycle starts at its smallest element and cycles are listed with
+    increasing minima, so the cycles determine the permutation and equal
+    permutations compare and hash equal however they were built.  The image,
+    image[i-1] = sigma(i), is derived from the cycles on first use.
+    """
 
     n: int
-    image: tuple[int, ...]
+    cycles: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_image(cls, image) -> "Permutation":
@@ -92,7 +98,9 @@ class Permutation:
         n = len(img)
         if sorted(img) != list(range(1, n + 1)):
             raise ValueError("image is not a bijection of 1..n")
-        return cls(n, img)
+        perm = cls(n, _trace_cycles(img))
+        perm.__dict__["image"] = img
+        return perm
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -109,15 +117,16 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(n, tuple(range(1, n + 1)))
+        return cls(n, tuple((i,) for i in range(1, n + 1)))
 
     @cached_property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition, smallest element first, cycles by increasing minimum."""
-        return _trace_cycles(self.image)
-
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
+    def image(self) -> tuple[int, ...]:
+        """image[i-1] = sigma(i), filled in from the cycles."""
+        image = [0] * self.n
+        for c in self.cycles:
+            for a, b in zip(c, c[1:] + c[:1]):
+                image[a - 1] = b
+        return tuple(image)
 
 
 def cycle_length_distribution(
@@ -135,7 +144,7 @@ def cycle_length_distribution(
     if m > table.n_max:
         raise ValueError(f"m={m} outside table range 0..{table.n_max}")
     log_h = table.log_h
-    if np.isneginf(log_h[m]):
+    if log_h[m] == -np.inf:
         raise DegenerateModelError(f"h_{m} = 0: no positive-weight permutation of [{m}]")
     log_p = (
         table.log_theta[1:m + 1]
@@ -180,20 +189,11 @@ class PermutationSampler:
 
         # Cut a uniform arrangement of 1..n into consecutive blocks of the
         # drawn lengths; each block is one cycle.
-        ends = starts[1:] + [n]
-        order = gen.permutation(n) + 1
-        succ = np.arange(1, n + 1)         # position of the next element on the cycle
-        succ[np.subtract(ends, 1)] = starts
-        image = np.empty_like(order)
-        image[order - 1] = order[succ]
-
-        flat = order.tolist()
+        flat = (gen.permutation(n) + 1).tolist()
         cycles = []
-        for a, b in zip(starts, ends):
+        for a, b in zip(starts, starts[1:] + [n]):
             block = flat[a:b]
             i = block.index(min(block))
             cycles.append(tuple(block[i:] + block[:i]))
         cycles.sort()                      # minima are distinct: orders by minimum
-        perm = Permutation(n, tuple(image.tolist()))
-        perm.__dict__["cycles"] = tuple(cycles)
-        return perm
+        return Permutation(n, tuple(cycles))

@@ -1,5 +1,6 @@
 """Integer cycle statistics and their conventions."""
 
+import itertools
 import math
 
 import pytest
@@ -73,6 +74,38 @@ def test_cycle_ranges_examples():
         cycle_ranges(Permutation.identity(3), 1)
 
 
+def _image_fixed_point_summary(perm: Permutation) -> FixedPointSummary:
+    """Fixed-point summary from a scan of the image.
+
+    The reference that the cycle-based ``fixed_point_summary`` is checked
+    against.
+    """
+    n = perm.n
+    fps = [i for i in range(1, n + 1) if perm.image[i - 1] == i]
+    if not fps:
+        return FixedPointSummary(n + 1, 0, n + 1, n + 1)
+    gaps = [fps[0]]
+    gaps += [b - a for a, b in zip(fps, fps[1:])]
+    gaps.append(n + 1 - fps[-1])
+    return FixedPointSummary(fps[0], fps[-1], min(gaps), max(gaps))
+
+
+def test_fixed_point_summary_matches_image_scan_on_all_of_s1_to_s6():
+    for n in range(1, 7):
+        for image in itertools.permutations(range(1, n + 1)):
+            perm = Permutation.from_image(image)
+            assert fixed_point_summary(perm) == _image_fixed_point_summary(perm)
+
+
+@pytest.mark.parametrize("ws", [WeightSequence.uniform(), WeightSequence.ewens(3.0)])
+def test_fixed_point_summary_matches_image_scan_on_sampled_permutations(ws):
+    n = 1000
+    sampler = PermutationSampler(ws, norm_constants(ws, n))
+    for rng in RngStream(23, (0, 0)).consecutive(100):
+        perm = sampler.sample(n, rng)
+        assert fixed_point_summary(perm) == _image_fixed_point_summary(perm)
+
+
 def test_fixed_point_summary_examples():
     p = Permutation.from_cycles(5, [(1, 3), (2,), (4,), (5,)])
     # fixed points {2, 4, 5}: gaps {2, 2, 1, 1}
@@ -97,14 +130,14 @@ def test_partition_identities(n, seed):
     stats = CycleStatistics.from_permutation(perm, n)
     assert sum(k * c for k, c in stats.counts.items()) == n
     assert sum(stats.sums.values()) == n * (n + 1) // 2
-    assert stats.sums[1] == sum(i for i in range(1, n + 1) if perm(i) == i)
+    assert stats.sums[1] == sum(i for i in range(1, n + 1) if perm.image[i - 1] == i)
 
 
 @given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=2**31))
 def test_spacing_invariants(n, seed):
     perm = _draw(n, seed)
     fs = fixed_point_summary(perm)
-    fps = [i for i in range(1, n + 1) if perm(i) == i]
+    fps = [i for i in range(1, n + 1) if perm.image[i - 1] == i]
     if not fps:
         assert fs == FixedPointSummary(n + 1, 0, n + 1, n + 1)
         return

@@ -34,10 +34,9 @@ def test_from_image_validates():
         Permutation.from_image((2, 3, 4))
 
 
-def test_identity_and_call():
+def test_identity():
     p = Permutation.identity(4)
     assert p.image == (1, 2, 3, 4)
-    assert [p(i) for i in (1, 2, 3, 4)] == [1, 2, 3, 4]
     assert p.cycles == ((1,), (2,), (3,), (4,))
 
 
@@ -53,6 +52,18 @@ def test_from_cycles_round_trip():
         p = Permutation.from_image(image)
         q = Permutation.from_cycles(p.n, p.cycles)
         assert q == p
+
+
+def test_from_image_and_from_cycles_compare_and_hash_equal():
+    for n in range(1, 6):
+        for image in itertools.permutations(range(1, n + 1)):
+            p = Permutation.from_image(image)
+            # from_cycles gets the cycles rotated and reordered, not canonical
+            q = Permutation.from_cycles(n, [c[1:] + c[:1] for c in reversed(p.cycles)])
+            assert p == q
+            assert hash(p) == hash(q)
+            assert len({p, q}) == 1
+    assert Permutation.from_image((2, 1, 3)) != Permutation.from_image((1, 3, 2))
 
 
 def test_from_cycles_validates():
@@ -133,6 +144,41 @@ def test_sample_is_deterministic_in_the_stream():
     assert a == b
     c = sampler.sample(64, RngStream(9, 2)).image
     assert c != a[0]
+
+
+# Cycles drawn at fixed (weights, n, stream), recorded before the sampler
+# stopped building the image; any change to how a draw consumes randomness
+# shows here and needs a new SAMPLER_VERSION.
+_PINNED_DRAWS = (
+    (WeightSequence.ewens(2.0), 5, (7, (0, 0)), ((1,), (2, 4, 5), (3,))),
+    (WeightSequence.uniform(), 40, (11, (0, 0)), (
+        (1, 21, 26, 32, 38, 27, 12, 23, 14, 35, 36, 28, 9, 2, 33, 19, 5, 13, 30, 11,
+         7, 8, 22, 34, 37, 6, 29, 4, 24, 18),
+        (3, 17), (10, 15, 25, 16, 39), (20, 40, 31),
+    )),
+    (WeightSequence.polynomial(1.0, 0.5), 40, (5, (0, 9)), (
+        (1, 10, 30, 6, 8, 40, 32, 19, 13, 29, 7, 34, 14),
+        (2, 21, 22, 26, 24, 11, 25),
+        (3, 23, 20, 31, 27, 17, 33, 16, 15, 38, 9, 5),
+        (4, 39, 12, 37, 35, 36, 28),
+        (18,),
+    )),
+)
+
+
+@pytest.mark.parametrize("ws, n, key, cycles", _PINNED_DRAWS)
+def test_sample_draws_are_pinned(ws, n, key, cycles):
+    perm = PermutationSampler(ws, norm_constants(ws, n)).sample(n, RngStream(*key))
+    assert perm.cycles == cycles
+    assert perm == Permutation.from_cycles(n, cycles)
+
+
+@pytest.mark.parametrize("ws, n, key, cycles", _PINNED_DRAWS)
+def test_sample_leaves_the_image_to_first_use(ws, n, key, cycles):
+    perm = PermutationSampler(ws, norm_constants(ws, n)).sample(n, RngStream(*key))
+    assert "image" not in perm.__dict__
+    assert perm.image == Permutation.from_cycles(n, perm.cycles).image
+    assert "image" in perm.__dict__
 
 
 def test_sample_rejects_bad_n():
