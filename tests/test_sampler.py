@@ -146,9 +146,8 @@ def test_sample_is_deterministic_in_the_stream():
     assert c != a[0]
 
 
-# Cycles drawn at fixed (weights, n, stream), recorded before the sampler
-# stopped building the image; any change to how a draw consumes randomness
-# shows here and needs a new SAMPLER_VERSION.
+# Cycles that sampler version v2 draws at fixed (weights, n, stream); a change
+# to how a draw consumes randomness shows here and needs a new SAMPLER_VERSION.
 _PINNED_DRAWS = (
     (WeightSequence.ewens(2.0), 5, (7, (0, 0)), ((1,), (2, 4, 5), (3,))),
     (WeightSequence.uniform(), 40, (11, (0, 0)), (
