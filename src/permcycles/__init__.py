@@ -21,7 +21,6 @@ from .point_process import (
     BoxUnion,
     PointMeasure,
     parse_boxes,
-    box_volume,
     intensity,
     avoidance_limit,
     point_measure,
@@ -36,7 +35,6 @@ from .cycle_stats import (
     sum_of_k_cycles,
     cycle_ranges,
     fixed_point_summary,
-    additive_statistic,
 )
 from .limit_laws import (
     poisson_count_pmf,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ from .oracle import exact_statistic_distribution
 from .point_process import BoxSpecError
 from .rng import RngStream
 from .sampler import PermutationSampler
-from .cycle_stats import CycleStatistics
+from .cycle_stats import STATISTICS, CycleStatistics, parse_statistic
 from .weights import (
     DegenerateModelError,
     WeightSpecError,
@@ -66,8 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--statistic",
         required=True,
-        help="cycle_type | count:<k> | sum:<k> | min_range:<k> | max_range:<k> | "
-        "min_fixed | max_fixed | min_spacing | max_spacing",
+        help=" | ".join(form for s in STATISTICS for form in s.forms()),
     )
     p.set_defaults(func=_cmd_exact)
 
@@ -130,6 +130,8 @@ def _cmd_stats(args) -> int:
     unknown = [s for s in emit if s not in ("counts", "sums", "ranges", "fixed")]
     if unknown:
         raise ValueError(f"unknown emit group {unknown[0]!r}")
+    if args.k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {args.k_max}")
     if args.k_max < 2 and "ranges" in emit:
         raise ValueError("ranges need k_max >= 2")
     ws = parse_weights(args.weights)
@@ -163,7 +165,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_exact(args) -> int:
     ws = parse_weights(args.weights)
-    dist = exact_statistic_distribution(ws, args.n, args.statistic)
+    entry, k = parse_statistic(args.statistic)
+    dist = exact_statistic_distribution(ws, args.n, entry.selector(k))
     print("value,probability")
     for v, p in zip(dist.support, dist.probabilities):
         if isinstance(v, tuple):
@@ -214,9 +217,8 @@ def _cmd_limit_cdf(args) -> int:
     if "theta" not in params:
         raise ValueError("the law needs theta (pass --params theta=... or --theta)")
     cdf = limit_cdf(args.law, params["theta"], params.get("k"))
-    print("x,cdf")
-    for x in _parse_grid(args.grid):
-        print(f"{float(x)!r},{cdf(float(x))!r}")
+    rows = [f"{float(x)!r},{cdf(float(x))!r}" for x in _parse_grid(args.grid)]
+    print("x,cdf", *rows, sep="\n")
     return 0
 
 
@@ -227,16 +229,15 @@ def _cmd_limit_laplace(args) -> int:
         raise ValueError(f"t list {args.t!r} is not numeric") from None
     if not ts:
         raise ValueError("need at least one t value")
-    print("t,laplace")
-    for t in ts:
-        print(f"{t!r},{laplace_k_cycle_sum(args.theta, args.k, t)!r}")
+    rows = [f"{t!r},{laplace_k_cycle_sum(args.theta, args.k, t)!r}" for t in ts]
+    print("t,laplace", *rows, sep="\n")
     return 0
 
 
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.workers:
-        cfg.workers = args.workers
+        cfg = dataclasses.replace(cfg, workers=args.workers)  # validates the override
     report = run_experiment(cfg)
     print(report.summary())
     if args.json:

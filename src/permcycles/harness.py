@@ -30,9 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the per-draw extractor calls the reducers by these names, which perfbench/tracing.py rebinds
 from .cycle_stats import (
     cycle_ranges,
     fixed_point_summary,
+    parse_statistic,
     sum_of_k_cycles,
 )
 from .gof import (
@@ -146,9 +148,11 @@ class ExperimentConfig:
             raise ValueError(f"grid_points must be >= 10, got {self.grid_points}")
         if self.mixture_draws < 0 or self.limit_draws < 0:
             raise ValueError("draw counts must be >= 0")
-        if self.kind == "cdf" and not self.statistic:
-            raise ValueError("cdf experiments need a statistic")
-        parse_weights(self.weights)  # fail early on a bad spec
+        ws = parse_weights(self.weights)  # fail early on a bad spec
+        if self.kind == "cdf":
+            if not self.statistic:
+                raise ValueError("cdf experiments need a statistic")
+            _law_for_statistic(ws, self.statistic)
         if self.kind == "avoidance":
             parse_boxes(self.boxes)
 
@@ -257,27 +261,12 @@ def _clean(value):
 # ---------------------------------------------------------------------------
 
 def _scaled_statistic_fn(statistic: str, n: int):
-    name, _, arg = statistic.partition(":")
-    if statistic == "S1":
-        name, arg = "sum", "1"
-    if name in ("sum", "minrange", "maxrange"):
-        try:
-            k = int(arg)
-        except ValueError:
-            raise ValueError(f"statistic {statistic!r} needs an integer cycle length") from None
-        if name == "sum":
-            if k < 1:
-                raise ValueError(f"statistic {statistic!r} has an out-of-range cycle length")
-            return lambda perm: sum_of_k_cycles(perm, k) / n
-        if k < 2:
-            raise ValueError(f"statistic {statistic!r} has an out-of-range cycle length")
-        which = 0 if name == "minrange" else 1
-        return lambda perm: cycle_ranges(perm, k)[which] / n
-    fixed_idx = {"m": 0, "M": 1, "delta": 2, "Delta": 3}
-    if statistic in fixed_idx:
-        i = fixed_idx[statistic]
-        return lambda perm: fixed_point_summary(perm)[i] / n
-    raise ValueError(f"unknown statistic {statistic!r}")
+    entry, k = parse_statistic(statistic)
+    reduce, i = globals()[entry.reducer], entry.field
+    args = () if k is None else (k,)
+    if i is None:
+        return lambda perm: reduce(perm, *args) / n
+    return lambda perm: reduce(perm, *args)[i] / n
 
 
 def _draws(ws: WeightSequence, table: NormalizationTable, seed: int, start: int, stop: int):
@@ -531,20 +520,15 @@ def run_avoidance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _law_for_statistic(ws: WeightSequence, statistic: str):
-    name, _, arg = statistic.partition(":")
-    if statistic == "S1" or (name == "sum" and arg == "1"):
-        return "S1", ws.theta(1), None
-    if name == "sum":
+    """(law, theta, k) of the limit a cdf run compares with; k is None for a law without one."""
+    entry, k = parse_statistic(statistic)
+    law = entry.law_at(k)
+    if law is None:
         raise ValueError(
-            f"statistic {statistic!r} has no closed-form limiting CDF; "
-            f"compare via Laplace transforms instead"
+            f"statistic {statistic!r} has no closed-form limiting CDF; check it with "
+            f"`permcycles exact`, a counts run or Laplace transforms instead"
         )
-    if name in ("minrange", "maxrange"):
-        k = int(arg)
-        return name, ws.theta(k), k
-    if statistic in ("m", "M", "delta", "Delta"):
-        return statistic, ws.theta(1), None
-    raise ValueError(f"unknown statistic {statistic!r}")
+    return law, ws.theta(k or 1), k if entry.law_k is None else None
 
 
 def run_cdf_experiment(cfg: ExperimentConfig) -> ExperimentReport:

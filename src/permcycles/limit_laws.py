@@ -17,7 +17,7 @@ continuous part.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -386,13 +386,41 @@ def cdf_max_spacing(x: float, theta1: float, eps: float = 1e-12) -> float:
 # Law registry: named CDFs with explicit atoms
 # ---------------------------------------------------------------------------
 
-LAW_NAMES = ("S1", "minrange", "maxrange", "m", "M", "delta", "Delta")
+
+class _Law(NamedTuple):
+    cdf: Callable[..., float]  # F(x, theta), or F(x, theta, k) for a law that takes k
+    takes_k: bool
+    atom: float  # where the one atom sits; its mass is exp(-theta / k), k = 1 if none taken
+    upper: float | None  # upper end of the support, whose lower end is 0; None: unbounded
 
 
-def _need_k(law: str, k: int | None) -> int:
+_LAWS = {
+    "S1": _Law(cdf_fixed_point_sum, False, 0.0, None),
+    "minrange": _Law(cdf_min_range, True, 1.0, 1.0),
+    "maxrange": _Law(cdf_max_range, True, 0.0, 1.0),
+    "m": _Law(cdf_min_fixed_point, False, 1.0, 1.0),
+    "M": _Law(cdf_max_fixed_point, False, 0.0, 1.0),
+    "delta": _Law(cdf_min_spacing, False, 1.0, 1.0),
+    "Delta": _Law(cdf_max_spacing, False, 1.0, 1.0),
+}
+LAW_NAMES = tuple(_LAWS)
+
+
+def _law(law: str) -> _Law:
+    if law not in _LAWS:
+        raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
+    return _LAWS[law]
+
+
+def _need_k(law: str, k: int | None) -> tuple[int, ...]:
+    """The cycle-length arguments of the law's CDF: (k,), or () for a law that takes none."""
+    if not _law(law).takes_k:
+        if k is not None:
+            raise ValueError(f"law {law!r} takes no cycle length k")
+        return ()
     if k is None or k < 2:
         raise ValueError(f"law {law!r} needs an explicit cycle length k >= 2")
-    return int(k)
+    return (int(k),)
 
 
 def limit_cdf(law: str, theta: float, k: int | None = None) -> Callable[[float], float]:
@@ -401,48 +429,17 @@ def limit_cdf(law: str, theta: float, k: int | None = None) -> Callable[[float],
     ``theta`` is the weight at the relevant cycle length: theta_k for the
     range laws, theta_1 for all the fixed-point laws.
     """
-    if law == "S1":
-        return lambda x: cdf_fixed_point_sum(x, theta)
-    if law == "minrange":
-        kk = _need_k(law, k)
-        return lambda x: cdf_min_range(x, theta, kk)
-    if law == "maxrange":
-        kk = _need_k(law, k)
-        return lambda x: cdf_max_range(x, theta, kk)
-    if law == "m":
-        return lambda x: cdf_min_fixed_point(x, theta)
-    if law == "M":
-        return lambda x: cdf_max_fixed_point(x, theta)
-    if law == "delta":
-        return lambda x: cdf_min_spacing(x, theta)
-    if law == "Delta":
-        return lambda x: cdf_max_spacing(x, theta)
-    raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
+    ks = _need_k(law, k)
+    cdf = _LAWS[law].cdf
+    return lambda x: cdf(x, theta, *ks)
 
 
 def law_atoms(law: str, theta: float, k: int | None = None) -> dict[float, float]:
     """The point masses of a named limiting law, as {location: mass}."""
-    if law == "S1":
-        return {0.0: math.exp(-theta)}
-    if law == "minrange":
-        kk = _need_k(law, k)
-        return {1.0: math.exp(-theta / kk)}
-    if law == "maxrange":
-        kk = _need_k(law, k)
-        return {0.0: math.exp(-theta / kk)}
-    if law == "m":
-        return {1.0: math.exp(-theta)}
-    if law == "M":
-        return {0.0: math.exp(-theta)}
-    if law in ("delta", "Delta"):
-        return {1.0: math.exp(-theta)}
-    raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
+    ks = _need_k(law, k)
+    return {_LAWS[law].atom: math.exp(-theta / (ks[0] if ks else 1))}
 
 
 def law_support(law: str) -> tuple[float, float | None]:
     """Support of a named law: (lower, upper); upper None means unbounded."""
-    if law == "S1":
-        return (0.0, None)
-    if law in ("minrange", "maxrange", "m", "M", "delta", "Delta"):
-        return (0.0, 1.0)
-    raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
+    return (0.0, _law(law).upper)

@@ -15,7 +15,6 @@ simulation of the limiting process itself.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -33,7 +32,6 @@ __all__ = [
     "PointMeasure",
     "BoxSpecError",
     "parse_boxes",
-    "box_volume",
     "intersect_boxes",
     "intensity",
     "avoidance_limit",
@@ -129,8 +127,10 @@ class BoxUnion:
 def _wedge_volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Wedge volumes of the boxes prod_i [lo[r, i], hi[r, i]], one per row r.
 
-    Between sorted cut points (a_1, b_1, and each a_i, b_i clipped into [a_1, b_1]) the
-    integrand of ``box_volume`` is a polynomial of degree <= k-1: k-node Gauss-Legendre is exact.
+    The wedge pins the first coordinate as the minimum, so a box's volume is
+    integral_{a_1}^{b_1} prod_{i>=2} max(0, b_i - max(a_i, x)) dx.  Between sorted cut
+    points (a_1, b_1, and each a_i, b_i clipped into [a_1, b_1]) the integrand is a
+    polynomial of degree <= k-1: k-node Gauss-Legendre is exact.
     """
     k = lo.shape[1]
     step = max(1, _KERNEL_BLOCK // (2 * k * k))
@@ -146,21 +146,6 @@ def _wedge_volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     for i in range(1, k):
         f *= np.maximum(hi[:, i, None, None] - np.maximum(lo[:, i, None, None], x), 0.0)
     return (f @ weights * half).sum(axis=1)
-
-
-def box_volume(box: BoxSpec) -> float:
-    """Lebesgue volume of the box intersected with the wedge W_k.
-
-    With the box written prod_i [a_i, b_i], the wedge constraint pins the
-    first coordinate as the minimum, so the volume is
-
-        integral_{a_1}^{b_1} prod_{i>=2} max(0, b_i - max(a_i, x)) dx,
-
-    computed exactly by the one-row call of the kernel ``intensity`` uses.
-    Endpoint closure flags do not affect volume.
-    """
-    lo, hi = np.array([[(iv.lo, iv.hi) for iv in box.intervals]]).transpose(2, 0, 1)
-    return float(_wedge_volumes(lo, hi)[0])
 
 
 def intersect_boxes(a: BoxSpec, b: BoxSpec) -> BoxSpec | None:
@@ -239,31 +224,6 @@ class PointMeasure:
 
     def restrict(self, level: int) -> tuple[tuple[float, ...], ...]:
         return self.levels.get(level, ())
-
-    def total_points(self) -> int:
-        return sum(len(pts) for pts in self.levels.values())
-
-    def count_in(self, union: BoxUnion) -> int:
-        return count_in(self, union)
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "levels": {
-                str(k): [list(p) for p in pts]
-                for k, pts in sorted(self.levels.items())
-            },
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PointMeasure":
-        payload = json.loads(text)
-        levels = {
-            int(k): tuple(tuple(float(x) for x in p) for p in pts)
-            for k, pts in payload["levels"].items()
-        }
-        return cls(int(payload["n"]), levels)
 
 
 def point_measure(perm) -> PointMeasure:

@@ -5,8 +5,24 @@ import math
 
 import pytest
 
-from permcycles import PermutationSampler, RngStream, norm_constants, parse_weights
+from permcycles import (
+    PermutationSampler,
+    RngStream,
+    exact_statistic_distribution,
+    norm_constants,
+    parse_weights,
+)
 from permcycles.cli import main
+
+# every name and alias of the README's statistic table, with its canonical selector
+README_STATISTICS = {
+    "count:2": "count:2", "sum:2": "sum:2", "S1": "sum:1",
+    "min_range:2": "min_range:2", "minrange:2": "min_range:2",
+    "max_range:2": "max_range:2", "maxrange:2": "max_range:2",
+    "min_fixed": "min_fixed", "m": "min_fixed", "max_fixed": "max_fixed", "M": "max_fixed",
+    "min_spacing": "min_spacing", "delta": "min_spacing",
+    "max_spacing": "max_spacing", "Delta": "max_spacing", "cycle_type": "cycle_type",
+}
 
 
 def _run(capsys, *argv):
@@ -95,6 +111,14 @@ def test_stats_out_file(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_stats_k_max_zero_prints_nothing(capsys):
+    code, out, err = _run(
+        capsys, "stats", "--weights", "uniform", "--n", "4", "--k-max", "0", "--emit", "counts"
+    )
+    assert code == 2 and out == ""
+    assert "k_max" in err
+
+
 def test_stats_bad_emit_group(capsys):
     code, _, err = _run(
         capsys, "stats", "--weights", "uniform", "--n", "4", "--emit", "counts,zebras"
@@ -147,6 +171,32 @@ def test_exact_cycle_type_labels(capsys):
     assert "1+1+1+1" in labels
     assert "4" in labels
     assert math.fsum(float(row.split(",")[1]) for row in lines) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", README_STATISTICS)
+def test_exact_accepts_every_statistic_name(capsys, name):
+    code, out, err = _run(
+        capsys, "exact", "--weights", "ewens:1.5", "--n", "4", "--statistic", name
+    )
+    assert code == 0 and err == ""
+    dist = exact_statistic_distribution(parse_weights("ewens:1.5"), 4, README_STATISTICS[name])
+    labels = ["+".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in dist.support]
+    want = [f"{v},{float(p)!r}" for v, p in zip(labels, dist.probabilities)]
+    assert out.splitlines() == ["value,probability"] + want
+
+
+@pytest.mark.parametrize("name, message", [
+    ("minrange:x", "needs an integer cycle length"),
+    ("sum:0", "k >= 1"),
+    ("maxrange:0", "k >= 2"),
+    ("median", "unknown statistic"),
+])
+def test_exact_rejects_a_malformed_statistic(capsys, name, message):
+    code, out, err = _run(
+        capsys, "exact", "--weights", "uniform", "--n", "3", "--statistic", name
+    )
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_exact_rejects_large_n(capsys):
@@ -246,6 +296,20 @@ def test_limit_laplace_known_value(capsys):
     assert len(lines) == 3
 
 
+def test_limit_cdf_rejects_k_for_a_law_without_one(capsys):
+    code, out, err = _run(
+        capsys, "limit", "cdf", "--law", "m", "--params", "theta=1,k=3", "--grid", "0:1:0.5"
+    )
+    assert code == 2 and out == ""
+    assert "takes no cycle length" in err
+
+
+def test_limit_laplace_bad_k_prints_nothing(capsys):
+    code, out, err = _run(capsys, "limit", "laplace", "--theta", "1", "--k", "0", "--t", "1")
+    assert code == 2 and out == ""
+    assert "k must be >= 1" in err
+
+
 def test_limit_laplace_bad_t(capsys):
     code, _, err = _run(capsys, "limit", "laplace", "--theta", "1", "--k", "1", "--t", "x")
     assert code == 2 and "not numeric" in err
@@ -277,6 +341,14 @@ def test_experiment_end_to_end(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "replicate,C_1,C_2"
     assert len(lines) == 81
+
+
+def test_experiment_rejects_a_bad_workers_override(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("kind = counts\nweights = ewens:1\nn = 10\nreplicates = 5\n")
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg), "--workers", "-1")
+    assert code == 2 and out == ""
+    assert "workers must be >= 1" in err
 
 
 def test_experiment_bad_config_line(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Integer cycle statistics and their conventions."""
 
 import itertools
-import math
 
 import pytest
 from hypothesis import given
@@ -9,18 +8,20 @@ from hypothesis import strategies as st
 
 from permcycles import (
     CycleStatistics,
+    ExactDistribution,
     FixedPointSummary,
     Permutation,
     PermutationSampler,
     RngStream,
     WeightSequence,
-    additive_statistic,
     cycle_ranges,
     fixed_point_summary,
     norm_constants,
-    point_measure,
     sum_of_k_cycles,
 )
+from permcycles.cycle_stats import STATISTICS, parse_statistic
+from permcycles.limit_laws import LAW_NAMES
+from permcycles.oracle import exact_statistic_distribution
 
 _WS = WeightSequence.ewens(1.0)
 _TABLE = norm_constants(_WS, 64)
@@ -177,22 +178,39 @@ def test_bundle_matches_individual_functions(n, seed):
     assert stats.n == n
 
 
-def test_additive_statistic_examples():
-    pm = point_measure(Permutation.from_image((2, 1, 3)))
-    # level-1 point (1,)/3, level-2 point (1/3, 2/3)
-    val = additive_statistic(pm, {1: lambda p: 1.0})
-    assert val == 1.0
-    val = additive_statistic(pm, {2: lambda p: p[0] + p[1]})
-    assert val == pytest.approx(1.0)
-    assert additive_statistic(pm, {5: lambda p: 1.0}) == 0.0
-    assert additive_statistic(pm, {}) == 0.0
+# ------------------------------------------------------------------ registry
 
 
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**31))
-def test_additive_statistic_recovers_scaled_cycle_sums(n, seed):
-    # f_k(x) = sum of coordinates picks out S_k / n
-    perm = _draw(n, seed)
-    pm = point_measure(perm)
-    for k in (1, 2):
-        val = additive_statistic(pm, {k: lambda p: math.fsum(p)})
-        assert val == pytest.approx(sum_of_k_cycles(perm, k) / n, rel=1e-12, abs=1e-12)
+def test_every_limit_law_is_named_by_a_registry_entry():
+    assert {s.law for s in STATISTICS if s.law} == set(LAW_NAMES)
+
+
+@pytest.mark.parametrize("entry", STATISTICS, ids=[s.name for s in STATISTICS])
+def test_every_oracle_selector_is_accepted_at_n3(entry):
+    dist = exact_statistic_distribution(_WS, 3, entry.selector(entry.min_k))
+    assert isinstance(dist, ExactDistribution)
+
+
+@pytest.mark.parametrize("text, name, k", [
+    ("S1", "sum", 1), ("sum:1", "sum", 1), ("count:3", "count", 3),
+    ("minrange:2", "min_range", 2), ("max_range:4", "max_range", 4),
+    ("m", "min_fixed", None), ("Delta", "max_spacing", None), ("cycle_type", "cycle_type", None),
+])
+def test_parse_statistic_resolves_names_and_aliases(text, name, k):
+    entry, got_k = parse_statistic(text)
+    assert (entry.name, got_k) == (name, k)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("minrange:x", "needs an integer cycle length"),
+    ("minrange", "needs an integer cycle length"),
+    ("sum:0", "needs a cycle length k >= 1"),
+    ("maxrange:0", "needs a cycle length k >= 2"),
+    ("min_range:1", "needs a cycle length k >= 2"),
+    ("m:1", "takes no cycle length"),
+    ("S1:1", "takes no cycle length"),
+    ("median", "unknown statistic"),
+])
+def test_parse_statistic_gives_one_error_per_malformed_selector(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_statistic(text)

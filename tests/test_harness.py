@@ -1,15 +1,17 @@
 """Experiment harness: configs, reports, determinism, self-consistency."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from permcycles import harness
+from permcycles import harness, oracle
 from permcycles import (
     ExperimentConfig,
     ExperimentReport,
+    Permutation,
     PermutationSampler,
     RngStream,
     count_in,
@@ -22,6 +24,7 @@ from permcycles import (
     run_counts_experiment,
     run_experiment,
 )
+from permcycles.cycle_stats import STATISTICS
 from permcycles.harness import _poisson_pmf_dict, write_replicates_csv
 from permcycles.point_process import limit_block_counts
 from permcycles.sampler import SAMPLER_VERSION
@@ -290,6 +293,60 @@ def test_cdf_statistic_without_closed_form():
     assert "Laplace" in str(err.value)
     with pytest.raises(ValueError):
         run_cdf_experiment(_cfg(kind="cdf", statistic="median", n=50, replicates=20))
+
+
+# every name and alias of the README's statistic table that has a limit law, with the law
+_CDF_STATISTICS = {
+    "S1": "S1", "sum:1": "S1",
+    "min_range:2": "minrange", "minrange:2": "minrange",
+    "max_range:3": "maxrange", "maxrange:3": "maxrange",
+    "min_fixed": "m", "m": "m", "max_fixed": "M", "M": "M",
+    "min_spacing": "delta", "delta": "delta", "max_spacing": "Delta", "Delta": "Delta",
+}
+
+
+@pytest.mark.parametrize("statistic", _CDF_STATISTICS)
+def test_cdf_accepts_every_statistic_name(statistic):
+    report = run_cdf_experiment(_cfg(kind="cdf", statistic=statistic, n=30, replicates=60,
+                                     grid_points=10))
+    assert report.results["statistic"] == statistic
+    assert report.results["law"] == _CDF_STATISTICS[statistic]
+    # the first name of the same law reads the same draws the same way
+    first = next(s for s, law in _CDF_STATISTICS.items() if law == _CDF_STATISTICS[statistic])
+    other = run_cdf_experiment(_cfg(kind="cdf", statistic=first, n=30, replicates=60,
+                                    grid_points=10))
+    assert other.replicates == report.replicates
+    assert dict(other.results, statistic=statistic) == report.results
+
+
+@pytest.mark.parametrize("statistic", ["count:2", "sum:2", "cycle_type"])
+def test_cdf_rejects_a_statistic_without_a_limit_law(statistic):
+    with pytest.raises(ValueError, match="has no closed-form limiting CDF"):
+        _cfg(kind="cdf", statistic=statistic)
+
+
+@pytest.mark.parametrize("statistic, message", [
+    ("minrange:x", "needs an integer cycle length"),
+    ("sum:0", "needs a cycle length k >= 1"),
+    ("maxrange:0", "needs a cycle length k >= 2"),
+    ("median", "unknown statistic"),
+])
+def test_cdf_config_rejects_a_malformed_statistic(statistic, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(kind="cdf", weights="uniform", n=10, replicates=5, statistic=statistic)
+
+
+def test_cdf_extractors_agree_with_the_oracle_on_s5():
+    n = 5
+    for entry in STATISTICS:
+        if entry.reducer is None:
+            continue
+        selector = entry.selector(entry.min_k)
+        extract = harness._scaled_statistic_fn(selector, n)
+        oracle_fn = oracle._parse_statistic(selector, n)
+        for image in itertools.permutations(range(1, n + 1)):
+            perm = Permutation.from_image(image)
+            assert extract(perm) == oracle_fn(perm.cycles) / n, (selector, image)
 
 
 def test_cdf_mixture_channel():

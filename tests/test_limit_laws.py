@@ -510,6 +510,10 @@ def test_limit_cdf_registry_matches_direct_functions():
         limit_cdf("S2", 1.0)
     with pytest.raises(ValueError):
         limit_cdf("minrange", 1.0)  # k missing
+    with pytest.raises(ValueError, match="takes no cycle length"):
+        limit_cdf("m", 1.0, 3)
+    with pytest.raises(ValueError, match="takes no cycle length"):
+        law_atoms("S1", 1.0, 1)
 
 
 def test_law_atoms():
@@ -527,7 +531,7 @@ def test_law_atoms():
 
 @pytest.mark.parametrize("law", LAW_NAMES)
 def test_every_law_is_a_cdf(law):
-    theta, k = 1.3, 3
+    theta, k = 1.3, 3 if law in ("minrange", "maxrange") else None
     cdf = limit_cdf(law, theta, k)
     lo, hi = law_support(law)
     top = 10.0 if hi is None else hi + 0.1

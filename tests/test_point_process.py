@@ -1,7 +1,6 @@
 """Scaled cycle point measures, wedge boxes, intensities, the limit process."""
 
 import itertools
-import json
 import math
 import random
 import tracemalloc
@@ -25,7 +24,6 @@ from permcycles import (
     RngStream,
     WeightSequence,
     avoidance_limit,
-    box_volume,
     count_in,
     intensity,
     norm_constants,
@@ -67,6 +65,12 @@ def _min_first(point):
         raise ValueError("cannot rotate an empty point")
     i = point.index(min(point))
     return point[i:] + point[:i]
+
+
+def _box_volume(box):
+    """Wedge volume of one box: a one-row call of the kernel ``intensity`` uses."""
+    lo, hi = np.array([[(iv.lo, iv.hi) for iv in box.intervals]]).transpose(2, 0, 1)
+    return float(point_process._wedge_volumes(lo, hi)[0])
 
 
 def _reference_box_volume(box):
@@ -148,7 +152,7 @@ def test_point_measure_mixed():
     assert pm.restrict(1) == ((1 / 3,),)
     assert pm.restrict(2) == ((2 / 3, 1.0),)
     assert pm.restrict(5) == ()
-    assert pm.total_points() == 2
+    assert sum(len(pts) for pts in pm.levels.values()) == 2
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**31))
@@ -230,7 +234,7 @@ def test_intersect_boxes():
     # touching boxes intersect in a degenerate slab of volume zero
     d = intersect_boxes(_box(1, (0.0, 0.5)), _box(1, (0.5, 1.0)))
     assert d is not None
-    assert box_volume(d) == 0.0
+    assert _box_volume(d) == 0.0
 
 
 # ---------------------------------------------------------------- volumes
@@ -239,16 +243,16 @@ def test_intersect_boxes():
 def test_box_volume_full_cube_is_one_over_k():
     for k in range(1, 6):
         box = _box(k, *[(0.0, 1.0)] * k)
-        assert box_volume(box) == pytest.approx(1.0 / k, rel=1e-12)
+        assert _box_volume(box) == pytest.approx(1.0 / k, rel=1e-12)
 
 
 def test_box_volume_frozen_cases():
-    assert box_volume(_box(1, (0.2, 0.7))) == pytest.approx(0.5, rel=1e-12)
+    assert _box_volume(_box(1, (0.2, 0.7))) == pytest.approx(0.5, rel=1e-12)
     # level 2, [0,1] x [0.5,1]: integral of (1 - max(0.5, x)) over [0,1]
     # splits into 0.5*0.5 + 0.125 = 0.375
-    assert box_volume(_box(2, (0.0, 1.0), (0.5, 1.0))) == pytest.approx(0.375, rel=1e-12)
+    assert _box_volume(_box(2, (0.0, 1.0), (0.5, 1.0))) == pytest.approx(0.375, rel=1e-12)
     # first coordinate above the second box kills the wedge entirely
-    assert box_volume(_box(2, (0.8, 1.0), (0.0, 0.5))) == 0.0
+    assert _box_volume(_box(2, (0.8, 1.0), (0.0, 0.5))) == 0.0
 
 
 def test_box_volume_against_monte_carlo():
@@ -262,7 +266,7 @@ def test_box_volume_against_monte_carlo():
     ]
     n_mc = 400_000
     for box in fixtures:
-        vol = box_volume(box)
+        vol = _box_volume(box)
         pts = gen.random((n_mc, box.level))
         inside = np.ones(n_mc, dtype=bool)
         inside &= pts[:, 0] == pts.min(axis=1)
@@ -312,7 +316,7 @@ def test_intensity_matches_reference_on_random_unions():
         union = BoxUnion(boxes)
         assert abs(intensity(ws, union) - _reference_intensity(ws, union)) <= 1e-12
         for box in boxes:
-            assert abs(box_volume(box) - _reference_box_volume(box)) <= 1e-12
+            assert abs(_box_volume(box) - _reference_box_volume(box)) <= 1e-12
 
 
 def test_intensity_matches_reference_on_twelve_level3_boxes():
@@ -355,7 +359,7 @@ def test_intensity_memory_stays_bounded_at_sixteen_boxes():
         tracemalloc.stop()
     assert peak < 48e6
     # the union holds its first box and sits inside [0, 0.975]^6
-    assert 1.5 * box_volume(boxes[0]) < value < 1.5 * box_volume(_box(6, *[(0.0, 0.975)] * 6))
+    assert 1.5 * _box_volume(boxes[0]) < value < 1.5 * _box_volume(_box(6, *[(0.0, 0.975)] * 6))
 
 
 def test_intensity_box_count_limit():
@@ -424,7 +428,7 @@ def test_simulate_limit_process_points_are_uniform_on_the_wedge():
     for i in range(3):
         for j in range(3):
             cell = _box(2, (edges[i], edges[i + 1]), (edges[j], edges[j + 1]))
-            vol = box_volume(cell)
+            vol = _box_volume(cell)
             if vol < 1e-9:
                 continue
             ob = sum(
@@ -505,7 +509,6 @@ def test_count_in_examples():
     # level-2 points: (0.25, 0.5) and (0.75, 1.0)
     union = parse_boxes("box:k=2;0,0.5;0,0.5")
     assert count_in(pm, union) == 1
-    assert pm.count_in(union) == 1
     # opening the second upper endpoint expels (0.25, 0.5)
     assert count_in(pm, parse_boxes("box:k=2;0,0.5;0,0.5;open=2")) == 0
     # level-1 boxes see nothing here
@@ -540,21 +543,6 @@ def test_count_in_matches_box_contains_with_open_endpoints():
             if any(_reference_contains(b, p) for b in union.boxes_at(k))
         )
         assert count_in(pm, union) == want
-
-
-# ------------------------------------------------------------------- JSON
-
-
-def test_point_measure_json_round_trip():
-    pm = PointMeasure(7, {1: ((0.5,),), 3: ((0.1, 0.9, 0.4), (0.2, 0.3, 0.6))})
-    text = pm.to_json()
-    payload = json.loads(text)
-    assert payload["n"] == 7
-    assert payload["levels"]["1"] == [[0.5]]
-    assert payload["levels"]["3"] == [[0.1, 0.9, 0.4], [0.2, 0.3, 0.6]]
-    back = PointMeasure.from_json(text)
-    assert back.n == pm.n
-    assert back.levels == pm.levels
 
 
 # ---------------------------------------------------------------- grammar
