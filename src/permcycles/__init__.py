@@ -72,9 +72,6 @@ from .gof import (
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
-    run_counts_experiment,
-    run_avoidance_experiment,
-    run_cdf_experiment,
     run_experiment,
 )
 

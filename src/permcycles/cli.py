@@ -15,12 +15,10 @@ import sys
 
 import numpy as np
 
-from .harness import ExperimentConfig, run_experiment, write_replicates_csv
+from .harness import ExperimentConfig, _draws, run_experiment, write_replicates_csv
 from .limit_laws import LAW_NAMES, laplace_k_cycle_sum, limit_cdf
 from .oracle import exact_statistic_distribution
 from .point_process import BoxSpecError
-from .rng import RngStream
-from .sampler import PermutationSampler
 from .cycle_stats import STATISTICS, CycleStatistics, parse_statistic
 from .weights import (
     DegenerateModelError,
@@ -28,8 +26,6 @@ from .weights import (
     norm_constants,
     parse_weights,
 )
-
-_LANE_PERM = 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,8 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = limit_sub.add_parser("cdf", help="print x,F(x) rows of a limiting CDF")
     q.add_argument("--law", required=True, choices=LAW_NAMES)
-    q.add_argument("--params", default="", help="law parameters, e.g. theta=2 or theta=1,k=3")
-    q.add_argument("--theta", type=float, default=None, help="shorthand for --params theta=...")
+    q.add_argument("--theta", type=float, required=True)
     q.add_argument("--k", type=int, default=None, help="cycle length (range laws only)")
     q.add_argument("--grid", required=True, help="start:stop:step")
     q.set_defaults(func=_cmd_limit_cdf)
@@ -91,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a config-driven experiment")
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--json", default="", help="write the full report here")
-    p.add_argument("--csv", default="", help="write per-replicate records here")
+    p.add_argument("--csv", default="", help="write per-replicate records here (one n only)")
     p.add_argument("--workers", type=int, default=0, help="override the config's worker count")
     p.set_defaults(func=_cmd_experiment)
 
@@ -100,10 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sample(args) -> int:
     ws = parse_weights(args.weights)
-    table = norm_constants(ws, args.n)
-    sampler = PermutationSampler(ws, table)
-    for rng in RngStream(args.seed, (_LANE_PERM, 0)).consecutive(args.count):
-        perm = sampler.sample(args.n, rng)
+    for perm in _draws(ws, norm_constants(ws, args.n), args.n, args.seed, 0, args.count):
         if args.format == "oneline":
             print(" ".join(str(v) for v in perm.image))
         else:
@@ -135,16 +127,13 @@ def _cmd_stats(args) -> int:
     if args.k_max < 2 and "ranges" in emit:
         raise ValueError("ranges need k_max >= 2")
     ws = parse_weights(args.weights)
-    table = norm_constants(ws, args.n)
-    sampler = PermutationSampler(ws, table)
-    streams = RngStream(args.seed, (_LANE_PERM, 0)).consecutive(args.count)
+    draws = _draws(ws, norm_constants(ws, args.n), args.n, args.seed, 0, args.count)
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(_stats_header(emit, args.k_max))
-        for i, rng in enumerate(streams):
-            perm = sampler.sample(args.n, rng)
+        for i, perm in enumerate(draws):
             st = CycleStatistics.from_permutation(perm, args.k_max)
             row: list = [i]
             if "counts" in emit:
@@ -190,33 +179,8 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.arange(a, b + s / 2.0, s)
 
 
-def _parse_law_params(text: str) -> dict:
-    """Parse ``theta=1,k=2`` style parameter lists."""
-    out: dict = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        name, sep, value = piece.partition("=")
-        name = name.strip().lower()
-        if not sep or name not in ("theta", "k"):
-            raise ValueError(f"bad law parameter {piece!r} (expected theta=... or k=...)")
-        try:
-            out[name] = float(value) if name == "theta" else int(value)
-        except ValueError:
-            raise ValueError(f"bad value in law parameter {piece!r}") from None
-    return out
-
-
 def _cmd_limit_cdf(args) -> int:
-    params = _parse_law_params(args.params)
-    if args.theta is not None:
-        params["theta"] = args.theta
-    if args.k is not None:
-        params["k"] = args.k
-    if "theta" not in params:
-        raise ValueError("the law needs theta (pass --params theta=... or --theta)")
-    cdf = limit_cdf(args.law, params["theta"], params.get("k"))
+    cdf = limit_cdf(args.law, args.theta, args.k)
     rows = [f"{float(x)!r},{cdf(float(x))!r}" for x in _parse_grid(args.grid)]
     print("x,cdf", *rows, sep="\n")
     return 0
@@ -238,6 +202,8 @@ def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.workers:
         cfg = dataclasses.replace(cfg, workers=args.workers)  # validates the override
+    if args.csv and len(cfg.sizes) > 1:
+        raise ValueError("--csv writes the replicates of one n; run a sweep without it")
     report = run_experiment(cfg)
     print(report.summary())
     if args.json:

@@ -12,9 +12,12 @@ so every draw equals that of a freshly built stream.  Reduction
 happens in replicate order, so reports are byte-identical regardless of how
 many worker processes computed them.
 
-Each run builds the normalization table once, in the calling process, and
-ships it inside every chunk task.  A worker builds a fresh sampler per task
-and holds no state between tasks.
+A config's ``n`` is one size or a sweep of increasing sizes.  Each run builds
+the normalization table once, at the largest n, in the calling process, and
+ships it inside every chunk task; every n of a sweep draws its replicates from
+the same streams (seed, 0, i), so each n's block equals a single-n run's
+results.  A worker builds a fresh sampler per task and holds no state between
+tasks.
 
 RNG lanes: 0 = permutation draws, 1 = limit-process simulation,
 2 = spacing-mixture reference draws.
@@ -50,6 +53,7 @@ from .limit_laws import (
     law_atoms,
     law_support,
     limit_cdf,
+    poisson_count_pmf,
     sample_limit_spacings,
 )
 from .oracle import exact_statistic_distribution
@@ -73,9 +77,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_experiment",
-    "run_counts_experiment",
-    "run_avoidance_experiment",
-    "run_cdf_experiment",
     "write_replicates_csv",
 ]
 
@@ -99,6 +100,14 @@ LIMIT_STREAM_VERSION = (
 
 _KINDS = ("counts", "avoidance", "cdf")
 _COMPARE = ("limit", "oracle")
+# keys only one kind reads; any other kind must leave them at their defaults
+_KIND_KEYS = {
+    "statistic": "cdf",
+    "mixture_draws": "cdf",
+    "boxes": "avoidance",
+    "limit_draws": "avoidance",
+    "compare": "counts",
+}
 _INT_FIELDS = {
     "n",
     "replicates",
@@ -113,11 +122,14 @@ _INT_FIELDS = {
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; ``workers`` affects speed only, never results."""
+    """Everything a run needs; ``workers`` affects speed only, never results.
+
+    ``n`` is one size or a strictly increasing tuple of sizes (a sweep).
+    """
 
     kind: str
     weights: str
-    n: int
+    n: int | tuple[int, ...]
     replicates: int
     seed: int = 0
     workers: int = 1
@@ -130,12 +142,16 @@ class ExperimentConfig:
     limit_draws: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, (tuple, list)):
+            self.n = self.n[0] if len(self.n) == 1 else tuple(self.n)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; known: {_KINDS}")
         if self.compare not in _COMPARE:
             raise ValueError(f"unknown compare mode {self.compare!r}; known: {_COMPARE}")
-        if self.n < 1:
+        if min(self.sizes, default=0) < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ValueError(f"the sizes of a sweep must increase strictly, got {self.n}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.seed < 0:
@@ -148,13 +164,25 @@ class ExperimentConfig:
             raise ValueError(f"grid_points must be >= 10, got {self.grid_points}")
         if self.mixture_draws < 0 or self.limit_draws < 0:
             raise ValueError("draw counts must be >= 0")
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for key, kind in _KIND_KEYS.items():
+            if self.kind != kind and getattr(self, key) != defaults[key]:
+                raise ValueError(f"config key {key!r} is read by {kind} experiments only, "
+                                 f"not by {self.kind}")
         ws = parse_weights(self.weights)  # fail early on a bad spec
         if self.kind == "cdf":
             if not self.statistic:
                 raise ValueError("cdf experiments need a statistic")
-            _law_for_statistic(ws, self.statistic)
+            law = _law_for_statistic(ws, self.statistic)[0]
+            if self.mixture_draws and law not in ("delta", "Delta"):
+                raise ValueError(f"mixture_draws needs the delta or Delta law, not {law}")
         if self.kind == "avoidance":
             parse_boxes(self.boxes)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """The sizes a run draws at, in increasing order."""
+        return self.n if isinstance(self.n, tuple) else (self.n,)
 
     @classmethod
     def from_mapping(cls, mapping) -> "ExperimentConfig":
@@ -166,7 +194,7 @@ class ExperimentConfig:
         for key, value in mapping.items():
             if key in _INT_FIELDS and isinstance(value, str):
                 try:
-                    value = int(value)
+                    value = tuple(map(int, value.split(","))) if key == "n" else int(value)
                 except ValueError:
                     raise ValueError(f"config key {key!r} needs an integer, got {value!r}") from None
             kwargs[key] = value
@@ -269,19 +297,23 @@ def _scaled_statistic_fn(statistic: str, n: int):
     return lambda perm: reduce(perm, *args)[i] / n
 
 
-def _draws(ws: WeightSequence, table: NormalizationTable, seed: int, start: int, stop: int):
-    """Permutations of replicates start..stop-1 from a sampler private to one chunk."""
+def _draws(ws: WeightSequence, table: NormalizationTable, n: int, seed: int, start: int,
+           stop: int):
+    """Permutations of [n] of replicates start..stop-1 from a sampler private to the caller.
+
+    The sampler and the streams are checked here, before the first draw is taken.
+    """
     sampler = PermutationSampler(ws, table)
-    for rng in RngStream(seed, (_LANE_PERM, start)).consecutive(stop - start):
-        yield sampler.sample(table.n_max, rng)
+    streams = RngStream(seed, (_LANE_PERM, start)).consecutive(stop - start)
+    return (sampler.sample(n, rng) for rng in streams)
 
 
 def _run_chunk(task):
     kind = task[0]
     if kind == "counts":
-        _, ws, table, seed, k_max, start, stop = task
+        _, ws, table, n, seed, k_max, start, stop = task
         out = []
-        for perm in _draws(ws, table, seed, start, stop):
+        for perm in _draws(ws, table, n, seed, start, stop):
             row = [0] * k_max
             for c in perm.cycles:
                 if len(c) <= k_max:
@@ -289,17 +321,17 @@ def _run_chunk(task):
             out.append(tuple(row))
         return out
     if kind == "stat":
-        _, ws, table, seed, statistic, start, stop = task
-        stat = _scaled_statistic_fn(statistic, table.n_max)
-        return [stat(perm) for perm in _draws(ws, table, seed, start, stop)]
+        _, ws, table, n, seed, statistic, start, stop = task
+        stat = _scaled_statistic_fn(statistic, n)
+        return [stat(perm) for perm in _draws(ws, table, n, seed, start, stop)]
     if kind == "avoid":
-        _, ws, table, seed, boxes_text, start, stop = task
+        _, ws, table, n, seed, boxes_text, start, stop = task
         union = parse_boxes(boxes_text)
         counts = np.zeros(stop - start, dtype=np.int64)
         # per union level, one row (draw, *cycle) for each cycle of that length
         held: dict[int, list] = {k: [] for k in union.levels()}
         values, last = 0, stop - start - 1
-        for d, perm in enumerate(_draws(ws, table, seed, start, stop)):
+        for d, perm in enumerate(_draws(ws, table, n, seed, start, stop)):
             for c in perm.cycles:
                 if len(c) in held:
                     held[len(c)].append((d,) + c)
@@ -309,8 +341,7 @@ def _run_chunk(task):
             for k, rows in held.items():
                 if rows:
                     rows = np.array(rows)
-                    counts += count_by_draw(union, k, rows[:, 1:] / table.n_max, rows[:, 0],
-                                            len(counts))
+                    counts += count_by_draw(union, k, rows[:, 1:] / n, rows[:, 0], len(counts))
                     held[k] = []
             values = 0
         return counts.tolist()
@@ -374,9 +405,8 @@ def _poisson_pmf_dict(theta_k: float, k: int, tail_eps: float = 1e-12) -> dict[i
         return {0: 1.0}
     if not math.isfinite(mean):
         raise ValueError(f"Poisson mean {mean!r} for {k}-cycles is not finite")
-    log_mean = math.log(mean)
     j_top = math.ceil(mean + 10.0 * math.sqrt(mean)) + 40
-    terms = [math.exp(j * log_mean - mean - math.lgamma(j + 1)) for j in range(j_top + 1)]
+    terms = [poisson_count_pmf(theta_k, k, j) for j in range(j_top + 1)]
     total = math.fsum(terms)
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"Poisson({mean!r}) pmf for {k}-cycles sums to {total!r} on 0..{j_top}")
@@ -389,120 +419,90 @@ def _poisson_pmf_dict(theta_k: float, k: int, tail_eps: float = 1e-12) -> dict[i
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners
+# Experiment runners: one generator per kind, yielding (results, rows) per n
 # ---------------------------------------------------------------------------
 
 
-def run_counts_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def _counts(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable):
     """Empirical k-cycle count pmfs against Poisson(theta_k / k) or the oracle."""
-    if cfg.kind != "counts":
-        raise ValueError(f"config kind is {cfg.kind!r}, not 'counts'")
-    ws = parse_weights(cfg.weights)
-    table = norm_constants(ws, cfg.n)
-    tasks = [
-        ("counts", ws, table, cfg.seed, cfg.k_max, s, e)
-        for s, e in _chunk_bounds(cfg.replicates, cfg.workers)
-    ]
-    records = _map_chunks(tasks, cfg.workers)
-    data = np.asarray(records, dtype=np.int64)
     n_rep = cfg.replicates
+    for n in cfg.sizes:
+        tasks = [
+            ("counts", ws, table, n, cfg.seed, cfg.k_max, s, e)
+            for s, e in _chunk_bounds(n_rep, cfg.workers)
+        ]
+        records = _map_chunks(tasks, cfg.workers)
+        data = np.asarray(records, dtype=np.int64)
 
-    per_count: dict[str, dict] = {}
-    for k in range(1, cfg.k_max + 1):
-        col = data[:, k - 1]
-        values, freq = np.unique(col, return_counts=True)
-        emp = {int(v): c / n_rep for v, c in zip(values, freq)}
-        if cfg.compare == "oracle":
-            dist = exact_statistic_distribution(ws, cfg.n, f"count:{k}")
-            theory = {int(v): float(p) for v, p in zip(dist.support, dist.probabilities)}
-            theory_mean = dist.mean()
-        else:
-            theory = _poisson_pmf_dict(ws.theta(k), k)
-            theory_mean = ws.theta(k) / k
-        j_hi = max(max(emp), max(theory))
-        observed = [int(np.sum(col == j)) for j in range(j_hi + 1)] + [0]
-        covered = math.fsum(theory.get(j, 0.0) for j in range(j_hi + 1))
-        expected = [n_rep * theory.get(j, 0.0) for j in range(j_hi + 1)]
-        expected.append(n_rep * max(0.0, 1.0 - covered))
-        chi = chi_square_gof(observed, expected)
-        per_count[str(k)] = {
-            "empirical_mean": float(col.mean()),
-            "theory_mean": float(theory_mean),
-            "tv_distance": float(tv_distance(emp, theory)),
-            "chi_square": {
-                "statistic": _clean(chi.statistic),
-                "dof": chi.dof,
-                "p_value": _clean(chi.p_value),
-                "cells": chi.cells,
-            },
-            "flag": "insufficient-sample" if chi.insufficient else "ok",
-        }
-
-    correlations: dict[str, float | None] = {}
-    for i in range(1, cfg.k_max + 1):
-        for j in range(i + 1, cfg.k_max + 1):
-            if n_rep < 2:
-                corr = None
+        per_count: dict[str, dict] = {}
+        for k in range(1, cfg.k_max + 1):
+            col = data[:, k - 1]
+            values, freq = np.unique(col, return_counts=True)
+            emp = {int(v): c / n_rep for v, c in zip(values, freq)}
+            if cfg.compare == "oracle":
+                dist = exact_statistic_distribution(ws, n, f"count:{k}")
+                theory = {int(v): float(p) for v, p in zip(dist.support, dist.probabilities)}
+                theory_mean = dist.mean()
             else:
-                corr = _clean(pearson_correlation(data[:, i - 1], data[:, j - 1]))
-            correlations[f"C_{i}_C_{j}"] = corr
+                theory = _poisson_pmf_dict(ws.theta(k), k)
+                theory_mean = ws.theta(k) / k
+            j_hi = max(max(emp), max(theory))
+            observed = [int(np.sum(col == j)) for j in range(j_hi + 1)] + [0]
+            covered = math.fsum(theory.get(j, 0.0) for j in range(j_hi + 1))
+            expected = [n_rep * theory.get(j, 0.0) for j in range(j_hi + 1)]
+            expected.append(n_rep * max(0.0, 1.0 - covered))
+            chi = chi_square_gof(observed, expected)
+            per_count[str(k)] = {
+                "empirical_mean": float(col.mean()),
+                "theory_mean": float(theory_mean),
+                "tv_distance": float(tv_distance(emp, theory)),
+                "chi_square": {
+                    "statistic": _clean(chi.statistic),
+                    "dof": chi.dof,
+                    "p_value": _clean(chi.p_value),
+                    "cells": chi.cells,
+                },
+                "flag": "insufficient-sample" if chi.insufficient else "ok",
+            }
 
-    results = {
-        "mode": cfg.compare,
-        "replicates": n_rep,
-        "per_count": per_count,
-        "correlations": correlations,
-    }
-    return ExperimentReport(
-        config=cfg.echo(),
-        results=results,
-        metadata=_metadata(ws),
-        replicates=[list(r) for r in records],
-        csv_columns=[f"C_{k}" for k in range(1, cfg.k_max + 1)],
-    )
+        correlations: dict[str, float | None] = {}
+        for i in range(1, cfg.k_max + 1):
+            for j in range(i + 1, cfg.k_max + 1):
+                if n_rep < 2:
+                    corr = None
+                else:
+                    corr = _clean(pearson_correlation(data[:, i - 1], data[:, j - 1]))
+                correlations[f"C_{i}_C_{j}"] = corr
+
+        results = {
+            "mode": cfg.compare,
+            "replicates": n_rep,
+            "per_count": per_count,
+            "correlations": correlations,
+        }
+        yield results, [list(r) for r in records]
 
 
-def run_avoidance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Empirical avoidance probability of a box union against exp(-intensity)."""
-    if cfg.kind != "avoidance":
-        raise ValueError(f"config kind is {cfg.kind!r}, not 'avoidance'")
-    ws = parse_weights(cfg.weights)
+def _avoidance(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable):
+    """Empirical avoidance probability of a box union against exp(-intensity).
+
+    The intensity and the limit-process channel do not depend on n, so a
+    sweep computes them once and repeats them in every block.
+    """
     union = parse_boxes(cfg.boxes)
     lam = intensity(ws, union)
     limit_p = math.exp(-lam)
     n_rep = cfg.replicates
 
-    table = norm_constants(ws, cfg.n)
-    tasks = [
-        ("avoid", ws, table, cfg.seed, cfg.boxes, s, e)
-        for s, e in _chunk_bounds(n_rep, cfg.workers)
-    ]
-    counts = np.asarray(_map_chunks(tasks, cfg.workers), dtype=np.int64)
-    p_hat = float(np.mean(counts == 0))
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_rep)
-
-    results: dict = {
-        "intensity": float(lam),
-        "limit_probability": float(limit_p),
-        "empirical": {
-            "probability": p_hat,
-            "se": se,
-            "replicates": n_rep,
-            "mean_points_in_union": float(counts.mean()),
-            "abs_error": abs(p_hat - limit_p),
-        },
-    }
-
     m_draws = cfg.limit_draws if cfg.limit_draws else n_rep
-    levels = union.levels()
-    k_cap = max(levels) if levels else 1
+    k_cap = max(union.levels(), default=1)
     sim_tasks = [
         ("limit_avoid", ws, k_cap, cfg.seed, cfg.boxes, s, e)
         for s, e in _chunk_bounds(m_draws, cfg.workers, _LIMIT_BLOCK)
     ]
     sim_counts = np.asarray(_map_chunks(sim_tasks, cfg.workers), dtype=np.int64)
     q_hat = float(np.mean(sim_counts == 0))
-    results["limit_simulation"] = {
+    simulation = {
         "probability": q_hat,
         "se": math.sqrt(max(q_hat * (1.0 - q_hat), 1e-12) / m_draws),
         "draws": m_draws,
@@ -510,13 +510,28 @@ def run_avoidance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "truncated_tail_mass": _clean(tail_intensity_mass(ws, k_cap)),
         "abs_error": abs(q_hat - limit_p),
     }
-    return ExperimentReport(
-        config=cfg.echo(),
-        results=results,
-        metadata=_metadata(ws),
-        replicates=[[int(c)] for c in counts],
-        csv_columns=["points_in_union"],
-    )
+
+    for n in cfg.sizes:
+        tasks = [
+            ("avoid", ws, table, n, cfg.seed, cfg.boxes, s, e)
+            for s, e in _chunk_bounds(n_rep, cfg.workers)
+        ]
+        counts = np.asarray(_map_chunks(tasks, cfg.workers), dtype=np.int64)
+        p_hat = float(np.mean(counts == 0))
+        se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_rep)
+        results = {
+            "intensity": float(lam),
+            "limit_probability": float(limit_p),
+            "empirical": {
+                "probability": p_hat,
+                "se": se,
+                "replicates": n_rep,
+                "mean_points_in_union": float(counts.mean()),
+                "abs_error": abs(p_hat - limit_p),
+            },
+            "limit_simulation": simulation,
+        }
+        yield results, [[int(c)] for c in counts]
 
 
 def _law_for_statistic(ws: WeightSequence, statistic: str):
@@ -531,90 +546,94 @@ def _law_for_statistic(ws: WeightSequence, statistic: str):
     return law, ws.theta(k or 1), k if entry.law_k is None else None
 
 
-def run_cdf_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def _cdf(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable):
     """Empirical CDF of one scaled statistic against its limiting law.
 
     Grid comparisons exclude atom locations; each atom's mass is compared
     separately at binomial resolution.  For the spacing statistics an
     optional second channel draws from the limiting mixture construction
-    and compares the two samples directly.
+    once and compares each n's sample with it directly.
     """
-    if cfg.kind != "cdf":
-        raise ValueError(f"config kind is {cfg.kind!r}, not 'cdf'")
-    ws = parse_weights(cfg.weights)
     law, theta, k = _law_for_statistic(ws, cfg.statistic)
     cdf = limit_cdf(law, theta, k)
     atoms = law_atoms(law, theta, k)
+    lo, hi_law = law_support(law)
     n_rep = cfg.replicates
-
-    table = norm_constants(ws, cfg.n)
-    tasks = [
-        ("stat", ws, table, cfg.seed, cfg.statistic, s, e)
-        for s, e in _chunk_bounds(n_rep, cfg.workers)
-    ]
-    samples = np.asarray(_map_chunks(tasks, cfg.workers), dtype=float)
-
-    lo, hi = law_support(law)
-    if hi is None:
-        hi = max(float(samples.max()) * 1.05, 3.0 * theta, 1.0)
-    grid = np.linspace(lo, hi, cfg.grid_points + 2)[1:-1]
-    grid = grid[[all(abs(x - a) > 1e-9 for a in atoms) for x in grid]]
-    theory = np.array([cdf(float(x)) for x in grid])
-    ks = ks_distance(empirical_cdf(samples, grid), theory)
-
-    atom_results = {}
-    for loc, mass in sorted(atoms.items()):
-        if loc <= 0.0:
-            emp_mass = float(np.mean(np.abs(samples - loc) <= 1e-12))
-        else:
-            # finite-n conventions can land slightly above the atom (e.g. (n+1)/n)
-            emp_mass = float(np.mean(samples >= loc - 1e-12))
-        se = math.sqrt(max(mass * (1.0 - mass), 1e-12) / n_rep)
-        atom_results[f"{loc:g}"] = {
-            "theory_mass": float(mass),
-            "empirical_mass": emp_mass,
-            "abs_error": abs(emp_mass - mass),
-            "binomial_se": se,
-        }
-
-    results: dict = {
-        "statistic": cfg.statistic,
-        "law": law,
-        "replicates": n_rep,
-        "grid_ks": float(ks),
-        "grid_points": int(grid.size),
-        "dkw_epsilon_95": dkw_epsilon(n_rep),
-        "atoms": atom_results,
-    }
-
-    if cfg.mixture_draws and law in ("delta", "Delta"):
+    if cfg.mixture_draws:
         mins, maxs = sample_limit_spacings(
             theta, RngStream(cfg.seed, (_LANE_MIXTURE, 0)), size=cfg.mixture_draws
         )
         ref = mins if law == "delta" else maxs
-        two = ks_distance(empirical_cdf(samples, grid), empirical_cdf(ref, grid))
-        results["mixture"] = {
-            "draws": int(cfg.mixture_draws),
-            "grid_ks_two_sample": float(two),
-            "atom_mass": float(np.mean(ref >= 1.0 - 1e-12)),
-        }
 
-    return ExperimentReport(
-        config=cfg.echo(),
-        results=results,
-        metadata=_metadata(ws),
-        replicates=[[float(v)] for v in samples],
-        csv_columns=[cfg.statistic],
-    )
+    for n in cfg.sizes:
+        tasks = [
+            ("stat", ws, table, n, cfg.seed, cfg.statistic, s, e)
+            for s, e in _chunk_bounds(n_rep, cfg.workers)
+        ]
+        samples = np.asarray(_map_chunks(tasks, cfg.workers), dtype=float)
+
+        hi = hi_law
+        if hi is None:
+            hi = max(float(samples.max()) * 1.05, 3.0 * theta, 1.0)
+        grid = np.linspace(lo, hi, cfg.grid_points + 2)[1:-1]
+        grid = grid[[all(abs(x - a) > 1e-9 for a in atoms) for x in grid]]
+        theory = np.array([cdf(float(x)) for x in grid])
+        ks = ks_distance(empirical_cdf(samples, grid), theory)
+
+        atom_results = {}
+        for loc, mass in sorted(atoms.items()):
+            if loc <= 0.0:
+                emp_mass = float(np.mean(np.abs(samples - loc) <= 1e-12))
+            else:
+                # finite-n conventions can land slightly above the atom (e.g. (n+1)/n)
+                emp_mass = float(np.mean(samples >= loc - 1e-12))
+            se = math.sqrt(max(mass * (1.0 - mass), 1e-12) / n_rep)
+            atom_results[f"{loc:g}"] = {
+                "theory_mass": float(mass),
+                "empirical_mass": emp_mass,
+                "abs_error": abs(emp_mass - mass),
+                "binomial_se": se,
+            }
+
+        results: dict = {
+            "statistic": cfg.statistic,
+            "law": law,
+            "replicates": n_rep,
+            "grid_ks": float(ks),
+            "grid_points": int(grid.size),
+            "dkw_epsilon_95": dkw_epsilon(n_rep),
+            "atoms": atom_results,
+        }
+        if cfg.mixture_draws:
+            two = ks_distance(empirical_cdf(samples, grid), empirical_cdf(ref, grid))
+            results["mixture"] = {
+                "draws": int(cfg.mixture_draws),
+                "grid_ks_two_sample": float(two),
+                "atom_mass": float(np.mean(ref >= 1.0 - 1e-12)),
+            }
+        yield results, [[float(v)] for v in samples]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a config to its runner."""
+    """Run a config from one table built at its largest n.
+
+    A single-n run reports its one block as ``results``, with its
+    per-replicate rows; a sweep keys its blocks by n and keeps no rows.
+    """
+    ws = parse_weights(cfg.weights)
+    table = norm_constants(ws, cfg.sizes[-1])
     if cfg.kind == "counts":
-        return run_counts_experiment(cfg)
-    if cfg.kind == "avoidance":
-        return run_avoidance_experiment(cfg)
-    return run_cdf_experiment(cfg)
+        blocks, columns = _counts(cfg, ws, table), [f"C_{k}" for k in range(1, cfg.k_max + 1)]
+    elif cfg.kind == "avoidance":
+        blocks, columns = _avoidance(cfg, ws, table), ["points_in_union"]
+    else:
+        blocks, columns = _cdf(cfg, ws, table), [cfg.statistic]
+    if len(cfg.sizes) == 1:
+        results, rows = next(blocks)
+    else:
+        results = {str(n): block for n, (block, _) in zip(cfg.sizes, blocks)}
+        rows, columns = [], []
+    return ExperimentReport(cfg.echo(), results, _metadata(ws), rows, columns)
 
 
 def write_replicates_csv(report: ExperimentReport, path) -> None:

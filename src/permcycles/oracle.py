@@ -121,7 +121,10 @@ def _spacing_summary(cycles, n: int) -> tuple[int, int, int, int]:
 
 def _parse_statistic(statistic: str, n: int):
     """Map a statistic selector to a function of the cycle decomposition."""
-    name, _, arg = statistic.partition(":")
+    name, sep, arg = statistic.partition(":")
+    fixed_idx = {"min_fixed": 0, "max_fixed": 1, "min_spacing": 2, "max_spacing": 3}
+    if sep and (name == "cycle_type" or name in fixed_idx):
+        raise ValueError(f"statistic {statistic!r} takes no cycle length")
     if name == "cycle_type":
         return lambda cycles: tuple(sorted(len(c) for c in cycles))
     if name in ("count", "sum", "min_range", "max_range"):
@@ -142,7 +145,6 @@ def _parse_statistic(statistic: str, n: int):
         return lambda cycles: max(
             (max(c) - min(c) for c in cycles if len(c) == k), default=0
         )
-    fixed_idx = {"min_fixed": 0, "max_fixed": 1, "min_spacing": 2, "max_spacing": 3}
     if name in fixed_idx:
         i = fixed_idx[name]
         return lambda cycles: _spacing_summary(cycles, n)[i]

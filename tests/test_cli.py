@@ -210,14 +210,11 @@ def test_exact_rejects_large_n(capsys):
 # -------------------------------------------------------------------- limit
 
 
-def test_limit_cdf_params_equivalent_to_flags(capsys):
-    base = ["limit", "cdf", "--law", "minrange", "--grid", "0.1:0.9:0.1"]
-    code, out_params, err = _run(capsys, *base, "--params", "theta=1,k=2")
+def test_limit_cdf_theta_and_k_flags(capsys):
+    code, out, err = _run(capsys, "limit", "cdf", "--law", "minrange", "--grid", "0.1:0.9:0.1",
+                          "--theta", "1", "--k", "2")
     assert code == 0 and err == ""
-    code, out_flags, _ = _run(capsys, *base, "--theta", "1", "--k", "2")
-    assert code == 0
-    assert out_params == out_flags
-    lines = out_params.strip().splitlines()
+    lines = out.strip().splitlines()
     assert lines[0] == "x,cdf"
     xs, fs = zip(*(map(float, row.split(",")) for row in lines[1:]))
     assert xs[0] == pytest.approx(0.1) and xs[-1] == pytest.approx(0.9)
@@ -254,19 +251,10 @@ def test_limit_cdf_where_the_series_failed(capsys):
 
 
 def test_limit_cdf_missing_theta(capsys):
-    code, _, err = _run(
-        capsys, "limit", "cdf", "--law", "S1", "--grid", "0:1:0.5"
-    )
-    assert code == 2
-    assert "theta" in err
-
-
-def test_limit_cdf_bad_param_token(capsys):
-    code, _, err = _run(
-        capsys, "limit", "cdf", "--law", "S1", "--params", "sigma=2", "--grid", "0:1:0.5"
-    )
-    assert code == 2
-    assert "sigma=2" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "cdf", "--law", "S1", "--grid", "0:1:0.5"])
+    assert exc.value.code == 2
+    assert "--theta" in capsys.readouterr().err
 
 
 def test_limit_cdf_bad_grid(capsys):
@@ -298,7 +286,7 @@ def test_limit_laplace_known_value(capsys):
 
 def test_limit_cdf_rejects_k_for_a_law_without_one(capsys):
     code, out, err = _run(
-        capsys, "limit", "cdf", "--law", "m", "--params", "theta=1,k=3", "--grid", "0:1:0.5"
+        capsys, "limit", "cdf", "--law", "m", "--theta", "1", "--k", "3", "--grid", "0:1:0.5"
     )
     assert code == 2 and out == ""
     assert "takes no cycle length" in err
@@ -341,6 +329,19 @@ def test_experiment_end_to_end(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "replicate,C_1,C_2"
     assert len(lines) == 81
+
+
+def test_experiment_sweep_has_no_csv(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("kind = counts\nweights = ewens:1\nn = 10,20\nreplicates = 5\n")
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg),
+                          "--csv", str(tmp_path / "reps.csv"))
+    assert code == 2 and out == ""
+    assert "--csv" in err
+    assert not (tmp_path / "reps.csv").exists()
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert "10.per_count.1.tv_distance" in out and "20.per_count.1.tv_distance" in out
 
 
 def test_experiment_rejects_a_bad_workers_override(tmp_path, capsys):

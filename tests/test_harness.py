@@ -1,8 +1,10 @@
 """Experiment harness: configs, reports, determinism, self-consistency."""
 
+import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,6 @@ from permcycles import (
     parse_boxes,
     parse_weights,
     point_measure,
-    run_avoidance_experiment,
-    run_cdf_experiment,
-    run_counts_experiment,
     run_experiment,
 )
 from permcycles.cycle_stats import STATISTICS
@@ -106,6 +105,46 @@ def test_config_from_file(tmp_path):
     assert ":2:" in str(err.value)
 
 
+def test_config_reads_a_sweep_of_sizes():
+    base = {"kind": "counts", "weights": "uniform", "replicates": "10"}
+    cfg = ExperimentConfig.from_mapping(dict(base, n="50,200,800"))
+    assert cfg.n == (50, 200, 800) and cfg.sizes == (50, 200, 800)
+    assert cfg.echo()["n"] == (50, 200, 800)
+    single = ExperimentConfig.from_mapping(dict(base, n="25"))
+    assert single.n == 25 and single.sizes == (25,)
+    for bad, message in (("200,50", "increase strictly"), ("50,50", "increase strictly"),
+                         ("0,5", "n must be >= 1"), ("50,x", "needs an integer")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_mapping(dict(base, n=bad))
+
+
+def test_config_rejects_a_statistic_outside_cdf():
+    with pytest.raises(ValueError, match="'statistic' is read by cdf experiments only"):
+        _cfg(statistic="junk")
+
+
+def test_config_rejects_boxes_and_limit_draws_outside_avoidance():
+    with pytest.raises(ValueError, match="'boxes' is read by avoidance experiments only"):
+        _cfg(boxes="nonsense")
+    with pytest.raises(ValueError, match="'limit_draws' is read by avoidance experiments only"):
+        _cfg(kind="cdf", statistic="m", limit_draws=100)
+
+
+def test_config_rejects_mixture_draws_outside_cdf():
+    with pytest.raises(ValueError, match="'mixture_draws' is read by cdf experiments only"):
+        _cfg(kind="avoidance", boxes="box:k=1;0,0.5", mixture_draws=100)
+
+
+def test_config_rejects_mixture_draws_for_a_law_without_a_mixture():
+    with pytest.raises(ValueError, match="mixture_draws needs the delta or Delta law, not m"):
+        _cfg(kind="cdf", statistic="m", mixture_draws=100)
+
+
+def test_config_rejects_the_oracle_outside_counts():
+    with pytest.raises(ValueError, match="'compare' is read by counts experiments only"):
+        _cfg(kind="cdf", statistic="M", compare="oracle")
+
+
 def test_config_echo_hides_workers():
     echo = _cfg(workers=8).echo()
     assert "workers" not in echo
@@ -118,7 +157,7 @@ def test_config_echo_hides_workers():
 
 def test_counts_experiment_report_shape():
     cfg = _cfg(n=60, replicates=400, k_max=3)
-    report = run_counts_experiment(cfg)
+    report = run_experiment(cfg)
     assert set(report.results["per_count"]) == {"1", "2", "3"}
     for k in ("1", "2", "3"):
         entry = report.results["per_count"][k]
@@ -146,7 +185,7 @@ def test_counts_experiment_report_shape():
 
 
 def test_counts_single_replicate_is_flagged():
-    report = run_counts_experiment(_cfg(replicates=1, k_max=2))
+    report = run_experiment(_cfg(replicates=1, k_max=2))
     for entry in report.results["per_count"].values():
         assert entry["flag"] == "insufficient-sample"
         assert entry["chi_square"]["p_value"] is None  # NaN serialized as None
@@ -159,7 +198,7 @@ def test_counts_against_oracle_self_consistency():
     cfg = _cfg(
         weights="ewens:1.5", n=6, replicates=500_000, compare="oracle", k_max=2, seed=3
     )
-    report = run_counts_experiment(cfg)
+    report = run_experiment(cfg)
     for entry in report.results["per_count"].values():
         assert entry["flag"] == "ok"
         assert entry["chi_square"]["p_value"] > 1e-3
@@ -210,21 +249,12 @@ def test_poisson_pmf_survives_rounding_at_a_mean_of_a_million():
     assert np.allclose(ps[bulk], poisson.pmf(js[bulk], mean), rtol=1e-6, atol=0.0)
 
 
-def test_counts_kind_guard():
-    with pytest.raises(ValueError):
-        run_counts_experiment(_cfg(kind="cdf", statistic="S1"))
-    with pytest.raises(ValueError):
-        run_avoidance_experiment(_cfg())
-    with pytest.raises(ValueError):
-        run_cdf_experiment(_cfg())
-
-
 # ---------------------------------------------------------------- avoidance
 
 
 def test_avoidance_empty_union_is_certain():
     cfg = _cfg(kind="avoidance", boxes="", replicates=100, n=30)
-    report = run_avoidance_experiment(cfg)
+    report = run_experiment(cfg)
     assert report.results["intensity"] == 0.0
     assert report.results["limit_probability"] == 1.0
     assert report.results["empirical"]["probability"] == 1.0
@@ -242,7 +272,7 @@ def test_avoidance_full_level_one():
         seed=11,
         limit_draws=3000,
     )
-    report = run_avoidance_experiment(cfg)
+    report = run_experiment(cfg)
     want = math.exp(-1.0)
     emp = report.results["empirical"]
     assert emp["replicates"] == 3000
@@ -260,7 +290,7 @@ def test_avoidance_full_level_one():
 
 def test_cdf_experiment_report_shape():
     cfg = _cfg(kind="cdf", weights="ewens:1", statistic="S1", n=150, replicates=800)
-    report = run_cdf_experiment(cfg)
+    report = run_experiment(cfg)
     res = report.results
     assert res["law"] == "S1"
     assert res["statistic"] == "S1"
@@ -280,7 +310,7 @@ def test_cdf_forbidden_fixed_points_degenerate_law():
     cfg = _cfg(
         kind="cdf", weights="list:0,1", statistic="m", n=51, replicates=200
     )
-    report = run_cdf_experiment(cfg)
+    report = run_experiment(cfg)
     res = report.results
     assert res["grid_ks"] == 0.0
     assert res["atoms"]["1"]["theory_mass"] == 1.0
@@ -289,10 +319,10 @@ def test_cdf_forbidden_fixed_points_degenerate_law():
 
 def test_cdf_statistic_without_closed_form():
     with pytest.raises(ValueError) as err:
-        run_cdf_experiment(_cfg(kind="cdf", statistic="sum:2", n=50, replicates=20))
+        run_experiment(_cfg(kind="cdf", statistic="sum:2", n=50, replicates=20))
     assert "Laplace" in str(err.value)
     with pytest.raises(ValueError):
-        run_cdf_experiment(_cfg(kind="cdf", statistic="median", n=50, replicates=20))
+        run_experiment(_cfg(kind="cdf", statistic="median", n=50, replicates=20))
 
 
 # every name and alias of the README's statistic table that has a limit law, with the law
@@ -307,14 +337,14 @@ _CDF_STATISTICS = {
 
 @pytest.mark.parametrize("statistic", _CDF_STATISTICS)
 def test_cdf_accepts_every_statistic_name(statistic):
-    report = run_cdf_experiment(_cfg(kind="cdf", statistic=statistic, n=30, replicates=60,
-                                     grid_points=10))
+    report = run_experiment(_cfg(kind="cdf", statistic=statistic, n=30, replicates=60,
+                                 grid_points=10))
     assert report.results["statistic"] == statistic
     assert report.results["law"] == _CDF_STATISTICS[statistic]
     # the first name of the same law reads the same draws the same way
     first = next(s for s, law in _CDF_STATISTICS.items() if law == _CDF_STATISTICS[statistic])
-    other = run_cdf_experiment(_cfg(kind="cdf", statistic=first, n=30, replicates=60,
-                                    grid_points=10))
+    other = run_experiment(_cfg(kind="cdf", statistic=first, n=30, replicates=60,
+                                grid_points=10))
     assert other.replicates == report.replicates
     assert dict(other.results, statistic=statistic) == report.results
 
@@ -359,7 +389,7 @@ def test_cdf_mixture_channel():
         mixture_draws=4000,
         seed=21,
     )
-    report = run_cdf_experiment(cfg)
+    report = run_experiment(cfg)
     mix = report.results["mixture"]
     assert mix["draws"] == 4000
     assert mix["grid_ks_two_sample"] < 0.08
@@ -403,10 +433,11 @@ def test_avoidance_limit_blocks_identical_across_worker_counts():
 def test_avoid_chunk_counts_match_count_in_per_draw(monkeypatch):
     # a small allowance makes the chunk count its held cycles many times
     monkeypatch.setattr(harness, "_HELD_VALUES", 64)
+    # the table reaches past the chunk's n, as in a sweep, and points scale by n
     ws = parse_weights("ewens:5")
-    table = norm_constants(ws, 200)
+    table = norm_constants(ws, 260)
     boxes = "box:k=1;0,0.3;box:k=2;0.2,0.9;0.1,0.6;open=2"
-    got = harness._run_chunk(("avoid", ws, table, 21, boxes, 0, 300))
+    got = harness._run_chunk(("avoid", ws, table, 200, 21, boxes, 0, 300))
     sampler, union = PermutationSampler(ws, table), parse_boxes(boxes)
     want = [count_in(point_measure(sampler.sample(200, RngStream(21, (0, i)))), union)
             for i in range(300)]
@@ -416,10 +447,10 @@ def test_avoid_chunk_counts_match_count_in_per_draw(monkeypatch):
 
 def test_draws_mid_run_equal_fresh_stream_samples():
     ws = parse_weights("ewens:1.5")
-    for n, start, stop in ((1, 3, 9), (5, 4093, 4120), (1000, 37, 49)):
-        table = norm_constants(ws, n)
+    for n, n_max, start, stop in ((1, 1, 3, 9), (5, 8, 4093, 4120), (1000, 1000, 37, 49)):
+        table = norm_constants(ws, n_max)
         sampler = PermutationSampler(ws, table)
-        got = [perm.image for perm in harness._draws(ws, table, 17, start, stop)]
+        got = [perm.image for perm in harness._draws(ws, table, n, 17, start, stop)]
         want = [sampler.sample(n, RngStream(17, (0, i))).image for i in range(start, stop)]
         assert got == want
 
@@ -456,6 +487,82 @@ def test_run_builds_its_table_once_in_the_caller(monkeypatch):
         assert texts[0] == texts[1]
 
 
+# ------------------------------------------------------------------- sweeps
+
+
+def _results(cfg):
+    return json.loads(run_experiment(cfg).to_json())["results"]
+
+
+_SWEEPS = {
+    "counts": dict(kind="counts", n=(20, 45), replicates=120, k_max=3),
+    "counts_oracle": dict(kind="counts", n=(3, 5), replicates=120, k_max=2, compare="oracle"),
+    "cdf_mixture": dict(kind="cdf", weights="uniform", statistic="delta", n=(30, 70),
+                        replicates=120, mixture_draws=500),
+    "avoidance": dict(kind="avoidance", boxes="box:k=1;0,0.5;box:k=2;0,1;0.5,1", n=(25, 60),
+                      replicates=120),
+}
+
+
+@pytest.mark.parametrize("kind_kwargs", _SWEEPS.values(), ids=_SWEEPS)
+def test_sweep_blocks_equal_single_n_results(kind_kwargs):
+    sweep = _results(_cfg(**kind_kwargs))
+    assert set(sweep) == {str(n) for n in kind_kwargs["n"]}
+    for n in kind_kwargs["n"]:
+        assert sweep[str(n)] == _results(_cfg(**dict(kind_kwargs, n=n)))
+
+
+def test_sweep_identical_across_worker_counts():
+    for kind_kwargs in (
+        dict(kind="counts", n=(10, 30), replicates=240, k_max=2),
+        dict(kind="cdf", statistic="S1", n=(20, 80), replicates=240),
+        dict(kind="avoidance", boxes="box:k=1;0,0.5", n=(15, 40), replicates=240,
+             limit_draws=5000),
+    ):
+        texts = [run_experiment(_cfg(workers=w, seed=5, **kind_kwargs)).to_json() for w in (1, 2)]
+        assert texts[0] == texts[1]
+        assert set(json.loads(texts[0])["results"]) == {str(n) for n in kind_kwargs["n"]}
+
+
+def test_sweep_builds_its_table_and_limit_channel_once(monkeypatch):
+    calls = {"norm_constants": [], "intensity": 0, "limit_block_counts": 0}
+    build, lam, block = harness.norm_constants, harness.intensity, harness.limit_block_counts
+
+    def counted_build(ws, n_max):
+        calls["norm_constants"].append(n_max)
+        return build(ws, n_max)
+
+    def counted_intensity(ws, union):
+        calls["intensity"] += 1
+        return lam(ws, union)
+
+    def counted_block(*args):
+        calls["limit_block_counts"] += 1  # 100 limit draws are one block, so one per pass
+        return block(*args)
+
+    monkeypatch.setattr(harness, "norm_constants", counted_build)
+    monkeypatch.setattr(harness, "intensity", counted_intensity)
+    monkeypatch.setattr(harness, "limit_block_counts", counted_block)
+    report = run_experiment(_cfg(kind="avoidance", boxes="box:k=1;0,0.5", n=(10, 40, 100),
+                                 replicates=100))
+    assert calls == {"norm_constants": [100], "intensity": 1, "limit_block_counts": 1}
+    assert report.replicates == [] and report.csv_columns == []
+
+
+_SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", _SHIPPED, ids=lambda p: p.name)
+def test_shipped_config_runs(path):
+    cfg = ExperimentConfig.from_file(path)
+    small = dataclasses.replace(cfg, replicates=20, workers=1,
+                                mixture_draws=min(cfg.mixture_draws, 200))
+    results = _results(small)
+    blocks = [results[str(n)] for n in cfg.sizes] if len(cfg.sizes) > 1 else [results]
+    for block in blocks:
+        assert (block["empirical"] if cfg.kind == "avoidance" else block)["replicates"] == 20
+
+
 def test_rerun_is_reproducible():
     cfg = _cfg(n=25, replicates=100)
     assert run_experiment(cfg).to_json() == run_experiment(cfg).to_json()
@@ -465,7 +572,7 @@ def test_rerun_is_reproducible():
 
 
 def test_write_replicates_csv(tmp_path):
-    report = run_counts_experiment(_cfg(replicates=40, k_max=2))
+    report = run_experiment(_cfg(replicates=40, k_max=2))
     path = tmp_path / "reps.csv"
     write_replicates_csv(report, path)
     lines = path.read_text().strip().splitlines()
@@ -477,7 +584,7 @@ def test_write_replicates_csv(tmp_path):
 
 
 def test_report_json_round_trip(tmp_path):
-    report = run_counts_experiment(_cfg(replicates=30, k_max=2))
+    report = run_experiment(_cfg(replicates=30, k_max=2))
     path = tmp_path / "report.json"
     report.write_json(path)
     payload = json.loads(path.read_text())

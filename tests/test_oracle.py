@@ -132,6 +132,16 @@ def test_bad_statistic_selectors():
             exact_statistic_distribution(ws, 3, bad)
 
 
+def test_min_fixed_rejects_a_cycle_length():
+    with pytest.raises(ValueError, match="takes no cycle length"):
+        exact_statistic_distribution(WeightSequence.uniform(), 3, "min_fixed:3")
+
+
+def test_cycle_type_rejects_a_suffix():
+    with pytest.raises(ValueError, match="takes no cycle length"):
+        exact_statistic_distribution(WeightSequence.uniform(), 3, "cycle_type:junk")
+
+
 def test_degenerate_weights_raise():
     with pytest.raises(DegenerateModelError):
         exact_statistic_distribution(WeightSequence.explicit((0.0,), tail="zero"), 3, "count:1")
