@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaincc
 
 __all__ = [
     "empirical_cdf",
@@ -115,6 +114,8 @@ def chi_square_gof(
     cells = len(exp)
     if cells < 2:
         return ChiSquareResult(0.0, 0, math.nan, cells, insufficient=True)
+    from scipy.special import gammaincc  # here, so importing permcycles leaves scipy unloaded
+
     stat = math.fsum((o - e) ** 2 / e for o, e in zip(obs, exp))
     dof = cells - 1
     p = float(gammaincc(dof / 2.0, stat / 2.0))

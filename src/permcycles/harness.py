@@ -50,10 +50,10 @@ from .gof import (
     tv_distance,
 )
 from .limit_laws import (
+    _poisson_count_pmfs,
     law_atoms,
     law_support,
     limit_cdf,
-    poisson_count_pmf,
     sample_limit_spacings,
 )
 from .oracle import exact_statistic_distribution
@@ -252,7 +252,7 @@ class ExperimentReport:
 
         def walk(prefix: str, obj) -> None:
             if isinstance(obj, dict):
-                for key in sorted(obj, key=lambda s: (len(s), s)):
+                for key in sorted(obj, key=lambda s: (len(str(s)), str(s))):
                     walk(f"{prefix}{key}.", obj[key])
             elif isinstance(obj, (list, tuple)):
                 lines.append((prefix[:-1], " ".join(_fmt(v) for v in obj)))
@@ -406,7 +406,7 @@ def _poisson_pmf_dict(theta_k: float, k: int, tail_eps: float = 1e-12) -> dict[i
     if not math.isfinite(mean):
         raise ValueError(f"Poisson mean {mean!r} for {k}-cycles is not finite")
     j_top = math.ceil(mean + 10.0 * math.sqrt(mean)) + 40
-    terms = [poisson_count_pmf(theta_k, k, j) for j in range(j_top + 1)]
+    terms = _poisson_count_pmfs(theta_k, k, range(j_top + 1))
     total = math.fsum(terms)
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"Poisson({mean!r}) pmf for {k}-cycles sums to {total!r} on 0..{j_top}")
@@ -618,7 +618,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run a config from one table built at its largest n.
 
     A single-n run reports its one block as ``results``, with its
-    per-replicate rows; a sweep keys its blocks by n and keeps no rows.
+    per-replicate rows; a sweep keys its blocks by the integer n, which the
+    JSON report lists in increasing order, and keeps no rows.
     """
     ws = parse_weights(cfg.weights)
     table = norm_constants(ws, cfg.sizes[-1])
@@ -631,7 +632,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if len(cfg.sizes) == 1:
         results, rows = next(blocks)
     else:
-        results = {str(n): block for n, (block, _) in zip(cfg.sizes, blocks)}
+        results = {n: block for n, (block, _) in zip(cfg.sizes, blocks)}
         rows, columns = [], []
     return ExperimentReport(cfg.echo(), results, _metadata(ws), rows, columns)
 

@@ -45,16 +45,22 @@ __all__ = [
 
 def poisson_count_pmf(theta_k: float, k: int, j: int) -> float:
     """P(limiting number of k-cycles = j): Poisson with mean theta_k / k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if j < 0 or j != int(j):
         raise ValueError(f"count must be a non-negative integer, got {j!r}")
+    return _poisson_count_pmfs(theta_k, k, (j,))[0]
+
+
+def _poisson_count_pmfs(theta_k: float, k: int, counts) -> list[float]:
+    """``poisson_count_pmf`` at every count in ``counts``, checking theta_k and k once."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if theta_k < 0:
         raise ValueError(f"theta_k must be >= 0, got {theta_k}")
     mean = theta_k / k
     if mean == 0.0:
-        return 1.0 if j == 0 else 0.0
-    return math.exp(j * math.log(mean) - mean - math.lgamma(j + 1))
+        return [1.0 if j == 0 else 0.0 for j in counts]
+    log_mean = math.log(mean)
+    return [math.exp(j * log_mean - mean - math.lgamma(j + 1)) for j in counts]
 
 
 # ---------------------------------------------------------------------------

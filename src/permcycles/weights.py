@@ -8,13 +8,18 @@ denotes the constant that turns this into a probability measure, with
 
     n * h_n = sum_{k=1}^{n} theta_k * h_{n-k},
 
-which is evaluated here entirely in log scale so that rapidly growing or
-decaying weights stay representable.  The recurrence itself is gated against
-brute-force enumeration over small symmetric groups in the test suite.
+which is evaluated here as a linear recurrence in floating point: the table
+is kept in blocks, each with its own power-of-two scale, so that rapidly
+growing or decaying weights stay representable, and each step is a few dot
+products.  The table is reported in log scale.  The recurrence itself is
+gated against brute-force enumeration over small symmetric groups in the test
+suite.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -226,28 +231,130 @@ class NormalizationTable:
         return math.exp(self.log_h[n])
 
 
+# Each block of h (and of theta) is stored as mantissas times 2**E, one integer
+# E per block, with every nonzero mantissa within 2**(+-_SPAN_BITS) (about
+# 1e+-150), so a product of two lies in 2**(+-2*_SPAN_BITS) and a dot product
+# of _PIECE of them stays a normal, finite float.
+_SPAN_BITS = 498
+_PIECE = 8192  # below OpenBLAS's 10 000-element threading cut-off for ddot
+# a block's terms are dropped when below 2**-_NEGLIGIBLE_BITS of the largest partial sum
+_NEGLIGIBLE_BITS = 1100
+_FEW_BLOCKS = 8  # up to this many blocks in reach, sort them by bound each step
+
+
+def _theta_blocks(log_theta: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """theta_k as mantissas t_k, and the blocks of k (starts, exponents) they share.
+
+    A block keeps the exponent it opened with until some positive theta_k
+    leaves 2**(+-_SPAN_BITS) around it; weights within that range of 1 need
+    one block with exponent 0, so t_k = theta_k.
+    """
+    log2_theta = log_theta / math.log(2.0)
+    positive = np.isfinite(log2_theta)
+    starts, exps = [1], [0]
+    while True:
+        k0 = starts[-1]
+        out = np.abs(log2_theta[k0:] - exps[-1]) > _SPAN_BITS
+        leave = np.flatnonzero(out & positive[k0:])
+        if leave.size == 0:
+            break
+        k = k0 + int(leave[0])
+        if k == k0:
+            exps[-1] = round(float(log2_theta[k]))
+        else:
+            starts.append(k)
+            exps.append(round(float(log2_theta[k])))
+    scale = np.repeat(np.asarray(exps, dtype=float), np.diff(starts + [log_theta.size]))
+    t = np.zeros(log_theta.size)
+    t[1:] = np.exp(log_theta[1:] - scale * math.log(2.0))
+    return t, starts, exps
+
+
 def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
     """Build the table of normalization constants up to ``n_max``.
 
-    Runs the defining recurrence in log scale with a max-shift log-sum-exp
-    over one preallocated buffer.  The cost is O(n_max^2) in vectorized
-    steps, about 0.7 s at n_max = 2e4 on a 2-vCPU host.  Zero weights enter
-    as -inf and drop out of the sum, so models whose h_n vanish for some n
-    (e.g. theta_1 = 0 at n = 1) record -inf there.
+    Runs the defining recurrence in floating point, on values stored in
+    blocks of consecutive indices, each block with its own power-of-two
+    scale (see ``_SPAN_BITS``), so weights and constants of any size stay
+    representable; rescaling by a power of two is exact.  Step n is one
+    BLAS dot product per block (and per ``_PIECE`` elements) of the stored h_m
+    against the reversed theta_{n-m}, over the m where theta_{n-m} can be
+    positive, so a zero tail costs nothing.  The partial sums of different
+    blocks meet through ``math.ldexp``, largest bound first; a block whose
+    every term is below 2**-_NEGLIGIBLE_BITS of the largest partial sum is
+    skipped.  A value that leaves its block's range opens a new block.  The
+    cost is O(n_max^2) multiply-adds, about 0.25 s at n_max = 2e4 on a
+    2-vCPU host.  Every dot runs in one thread and the pieces add up in a
+    fixed order, so the table does not depend on the BLAS thread count.
+    Zero weights contribute exact zeros, so models whose h_n vanish for
+    some n (e.g. theta_1 = 0 at n = 1) record -inf there.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     log_theta = ws.log_theta_array(n_max)
-    log_h = np.full(n_max + 1, -np.inf)
-    log_h[0] = 0.0
-    buf = np.empty(n_max)
+    t, t_starts, t_exps = _theta_blocks(log_theta)
+    positive = np.flatnonzero(t)
+    if positive.size == 0:
+        log_h = np.full(n_max + 1, -np.inf)
+        log_h[0] = 0.0
+        return NormalizationTable(n_max, log_h, log_theta)
+    # theta_k > 0 only for k_first <= k <= k_last, so step n reads m in [n - k_last, n - k_first]
+    k_first, k_last = int(positive[0]), int(positive[-1])
+    t_top = math.floor(float(np.max(log_theta[positive])) / math.log(2.0)) + 2
+    rev_t = t[::-1].copy()             # rev_t[n_max - n + m] = t_{n-m}
+    t_cuts = t_starts[:0:-1]           # where theta blocks begin, from the largest k down
+    g = np.zeros(n_max + 1)            # h_m = g[m] * 2**h_exps[block of m]
+    g[0] = 1.0
+    h_starts, h_exps = [0], [0]
+    by_exp = []                        # closed blocks of h, largest exponent first
+    lo_span, hi_span = 2.0 ** -_SPAN_BITS, 2.0 ** _SPAN_BITS
     for n in range(1, n_max + 1):
-        terms = buf[:n]
-        np.add(log_theta[1:n + 1], log_h[n - 1::-1], out=terms)
-        top = terms.max()
-        if top == -np.inf:
+        lo, hi = max(0, n - k_last), n - k_first + 1
+        b0, b1 = bisect.bisect_right(h_starts, lo) - 1, bisect.bisect_left(h_starts, hi)
+        if b1 - b0 <= _FEW_BLOCKS:
+            order = sorted(range(b0, b1), key=h_exps.__getitem__, reverse=True)
+        else:                          # the open block first, to bound the rest
+            order = itertools.chain([len(h_starts) - 1], by_exp)
+        off = n_max - n
+        # a term of block b is below 2**(h_exps[b] + reach - _NEGLIGIBLE_BITS) / n
+        reach = _SPAN_BITS + t_top + n.bit_length() + _NEGLIGIBLE_BITS
+        parts, top = [], -math.inf     # (exponent, sum) per segment; 2**top bounds the largest
+        for b in order:
+            if not b0 <= b < b1:
+                continue
+            if h_exps[b] + reach < top:
+                break                  # and so are the blocks after it
+            a = lo if lo > h_starts[b] else h_starts[b]
+            c = h_starts[b + 1] if b + 1 < len(h_starts) and h_starts[b + 1] < hi else hi
+            cuts = (a, c)
+            if t_cuts:                 # cut where a block of theta begins (k = n - m falls as m rises)
+                cuts = [a] + [n + 1 - k for k in t_cuts if a < n + 1 - k < c] + [c]
+            for x, y in zip(cuts, cuts[1:]):
+                total = 0.0
+                for p in range(x, y, _PIECE):
+                    q = p + _PIECE if p + _PIECE < y else y
+                    total += g[p:q].dot(rev_t[off + p:off + q])
+                if total:
+                    exp = h_exps[b] + t_exps[bisect.bisect_right(t_starts, n - x) - 1]
+                    parts.append((exp, float(total)))
+                    top = max(top, exp + math.frexp(total)[1])
+        if not parts:
+            continue                   # h_n = 0
+        here = h_exps[-1]
+        try:
+            value = sum([math.ldexp(s, e - here) for e, s in parts]) / n
+        except OverflowError:
+            value = math.inf
+        if lo_span <= value <= hi_span:
+            g[n] = value
             continue
-        terms -= top
-        np.exp(terms, out=terms)
-        log_h[n] = top + math.log(terms.sum()) - math.log(n)
+        # h_n opens a new block, scaled by its own binary exponent
+        mantissa, shift = math.frexp(sum(math.ldexp(s, e - top) for e, s in parts) / n)
+        g[n] = mantissa
+        bisect.insort(by_exp, len(h_starts) - 1, key=lambda i: -h_exps[i])
+        h_starts.append(n)
+        h_exps.append(top + shift)
+    scale = np.repeat(np.asarray(h_exps, dtype=float), np.diff(h_starts + [n_max + 1]))
+    with np.errstate(divide="ignore"):
+        log_h = np.log(g) + scale * math.log(2.0)
     return NormalizationTable(n_max, log_h, log_theta)

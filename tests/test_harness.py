@@ -549,6 +549,31 @@ def test_sweep_builds_its_table_and_limit_channel_once(monkeypatch):
     assert report.replicates == [] and report.csv_columns == []
 
 
+def _objects(text):
+    """Every JSON object of a report, as its list of keys in written order."""
+    objects = []
+    json.loads(text, object_pairs_hook=lambda pairs: objects.append([k for k, _ in pairs]))
+    return objects
+
+
+def _in_order(keys):
+    # integer keys (pmf supports, sweep sizes) in numeric order, names in text order
+    if all(k.isdigit() for k in keys):
+        return keys == sorted(keys, key=int)
+    return keys == sorted(keys)
+
+
+def test_sweep_report_lists_its_blocks_by_increasing_n():
+    text = run_experiment(_cfg(kind="counts", n=(9, 10, 100), replicates=30, k_max=2)).to_json()
+    assert list(json.loads(text)["results"]) == ["9", "10", "100"]
+    assert all(_in_order(keys) for keys in _objects(text))
+
+
+def test_single_n_report_orders_every_object_by_key():
+    text = run_experiment(_cfg(kind="counts", n=100, replicates=30, k_max=2)).to_json()
+    assert all(_in_order(keys) for keys in _objects(text))
+
+
 _SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.cfg"))
 
 

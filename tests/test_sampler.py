@@ -127,6 +127,41 @@ def test_full_cycle_probability_matches_oracle():
         assert p_len == pytest.approx(dist.get(1, 0.0), rel=1e-10, abs=1e-15)
 
 
+def _length_chain_law(ws, n):
+    """Law of the sorted cycle type that the sampler's length chain draws at size n.
+
+    Walks every composition of n through ``cycle_length_distribution``, with
+    no draws: the probability of a path is the product of its steps' laws.
+    """
+    table = norm_constants(ws, n)
+    laws = {m: cycle_length_distribution(ws, table, m) for m in range(1, n + 1)
+            if table.log_h[m] > -np.inf}
+    mass = {}
+
+    def walk(m, lengths, p):
+        if m == 0:
+            key = tuple(sorted(lengths))
+            mass[key] = mass.get(key, 0.0) + p
+            return
+        for k in range(1, m + 1):
+            q = p * laws[m][k - 1]
+            if q > 0.0:
+                walk(m - k, lengths + [k], q)
+
+    walk(n, [], 1.0)
+    return mass
+
+
+@pytest.mark.parametrize("ws", [ws for _, ws in FAMILIES], ids=[name for name, _ in FAMILIES])
+def test_length_chain_gives_the_exact_cycle_type_law(ws):
+    for n in range(1, 8):
+        chain = _length_chain_law(ws, n)
+        exact = exact_statistic_distribution(ws, n, "cycle_type").pmf()
+        assert set(chain) == set(exact)
+        for ctype, p in exact.items():
+            assert abs(chain[ctype] - p) <= 1e-12, (n, ctype)
+
+
 # ------------------------------------------------------------------ sampler
 
 

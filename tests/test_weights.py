@@ -1,6 +1,10 @@
 """Weight sequences, the grammar, and normalization constants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,79 @@ def test_norm_constants_matches_scipy_reference(ws):
     assert np.all(np.isfinite(got[finite]))
     gap = np.abs(got[finite] - ref[finite])
     assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+def _log_sum_exp_loop(ws, n_max):
+    """The recurrence in log scale, one max-shifted log-sum-exp per step."""
+    log_theta = ws.log_theta_array(n_max)
+    log_h = np.full(n_max + 1, -np.inf)
+    log_h[0] = 0.0
+    buf = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        terms = buf[:n]
+        np.add(log_theta[1:n + 1], log_h[n - 1::-1], out=terms)
+        top = terms.max()
+        if top == -np.inf:
+            continue
+        terms -= top
+        np.exp(terms, out=terms)
+        log_h[n] = top + math.log(terms.sum()) - math.log(n)
+    return log_h
+
+
+def _only_3_cycles_log_h(n_max):
+    # theta_3 = 1.5 and no other weight: h_{3j} = (1/2)^j / j!, and 0 off multiples of 3
+    log_h = np.full(n_max + 1, -np.inf)
+    for j in range(n_max // 3 + 1):
+        log_h[3 * j] = -j * math.log(2.0) - math.lgamma(j + 1)
+    return log_h
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["uniform", "ewens:1.5", "ewens:1000", "poly:1,0.5", "list:0,1", "list:0,0,1.5;tail=zero"],
+)
+def test_norm_constants_matches_log_sum_exp_loop_at_20k(spec):
+    ws = parse_weights(spec)
+    ref = _log_sum_exp_loop(ws, 20000)
+    got = norm_constants(ws, 20000).log_h
+    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+    if spec == "list:0,0,1.5;tail=zero":
+        # the loop's own rounding drifts by 1.06e-13 of |log h| over 6667 steps
+        # here, so the values are held to the closed form instead
+        ref = _only_3_cycles_log_h(20000)
+    finite = np.isfinite(ref)
+    gap = np.abs(got[finite] - ref[finite])
+    assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+def test_norm_constants_keeps_far_apart_weights_and_constants():
+    # theta spans 2**1330 and h_n grows past 1e300 within a few steps, so both
+    # the weights and the constants take several scale blocks
+    for spec in ("list:1e-200,1e200,1", "poly:1,60"):
+        ws = parse_weights(spec)
+        ref = _log_sum_exp_loop(ws, 600)
+        got = norm_constants(ws, 600).log_h
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_norm_constants_do_not_depend_on_blas_threads():
+    # one dot over more than 10 000 elements may be split across OpenBLAS threads
+    code = (
+        "import hashlib; from permcycles import norm_constants, parse_weights; "
+        "t = norm_constants(parse_weights('poly:1,0.5'), 20000); "
+        "print(hashlib.sha256(t.log_h.tobytes()).hexdigest())"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src] + sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_norm_constants_rejects_negative_n():
