@@ -254,8 +254,8 @@ def _theta_blocks(log_theta: np.ndarray) -> tuple[np.ndarray, list[int], list[in
     starts, exps = [1], [0]
     while True:
         k0 = starts[-1]
-        out = np.abs(log2_theta[k0:] - exps[-1]) > _SPAN_BITS
-        leave = np.flatnonzero(out & positive[k0:])
+        gap = log2_theta[k0:] - exps[-1]
+        leave = np.flatnonzero((np.abs(gap, out=gap) > _SPAN_BITS) & positive[k0:])
         if leave.size == 0:
             break
         k = k0 + int(leave[0])
@@ -264,10 +264,11 @@ def _theta_blocks(log_theta: np.ndarray) -> tuple[np.ndarray, list[int], list[in
         else:
             starts.append(k)
             exps.append(round(float(log2_theta[k])))
-    scale = np.repeat(np.asarray(exps, dtype=float), np.diff(starts + [log_theta.size]))
-    t = np.zeros(log_theta.size)
-    t[1:] = np.exp(log_theta[1:] - scale * math.log(2.0))
-    return t, starts, exps
+    # t_k = exp(log theta_k - E ln 2), built in place; index 0 (theta_0 = 0) has E = 0
+    t = np.repeat(np.asarray([0] + exps, dtype=float), np.diff([0] + starts + [log_theta.size]))
+    t *= -math.log(2.0)
+    t += log_theta
+    return np.exp(t, out=t), starts, exps
 
 
 def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
@@ -354,7 +355,8 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
         bisect.insort(by_exp, len(h_starts) - 1, key=lambda i: -h_exps[i])
         h_starts.append(n)
         h_exps.append(top + shift)
-    scale = np.repeat(np.asarray(h_exps, dtype=float), np.diff(h_starts + [n_max + 1]))
+    log_h = np.repeat(np.asarray(h_exps, dtype=float), np.diff(h_starts + [n_max + 1]))
+    log_h *= math.log(2.0)             # each block's scale, then its mantissas
     with np.errstate(divide="ignore"):
-        log_h = np.log(g) + scale * math.log(2.0)
+        log_h += np.log(g, out=g)
     return NormalizationTable(n_max, log_h, log_theta)
