@@ -236,10 +236,13 @@ class NormalizationTable:
 # 1e+-150), so a product of two lies in 2**(+-2*_SPAN_BITS) and a dot product
 # of _PIECE of them stays a normal, finite float.
 _SPAN_BITS = 498
-_PIECE = 8192  # below OpenBLAS's 10 000-element threading cut-off for ddot
+# below the 10 000-element cut-off under which OpenBLAS's x86_64 ddot runs in
+# one thread; an internal of that kernel, not documented behaviour, so another
+# BLAS may split or reorder a dot of this size (see
+# tests/test_weights.py::test_norm_constants_do_not_depend_on_blas_threads)
+_PIECE = 8192
 # a block's terms are dropped when below 2**-_NEGLIGIBLE_BITS of the largest partial sum
 _NEGLIGIBLE_BITS = 1100
-_FEW_BLOCKS = 8  # up to this many blocks in reach, sort them by bound each step
 
 
 def _theta_blocks(log_theta: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
@@ -281,12 +284,15 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
     BLAS dot product per block (and per ``_PIECE`` elements) of the stored h_m
     against the reversed theta_{n-m}, over the m where theta_{n-m} can be
     positive, so a zero tail costs nothing.  The partial sums of different
-    blocks meet through ``math.ldexp``, largest bound first; a block whose
-    every term is below 2**-_NEGLIGIBLE_BITS of the largest partial sum is
-    skipped.  A value that leaves its block's range opens a new block.  The
-    cost is O(n_max^2) multiply-adds, about 0.25 s at n_max = 2e4 on a
-    2-vCPU host.  Every dot runs in one thread and the pieces add up in a
-    fixed order, so the table does not depend on the BLAS thread count.
+    blocks meet through ``math.ldexp``: the open block first, then the
+    closed ones by decreasing exponent, stopping at the first block whose
+    every term is below 2**-_NEGLIGIBLE_BITS of the largest partial sum.
+    A value that leaves its block's range opens a new block.  The cost is
+    O(n_max^2) multiply-adds, about 0.25 s at n_max = 2e4 on a 2-vCPU
+    host.  The pieces add up in a fixed order and, with OpenBLAS,
+    every dot runs in one thread, so the table does not depend on the BLAS
+    thread count; that rests on OpenBLAS's ddot (see ``_PIECE``) and is
+    checked by ``test_norm_constants_do_not_depend_on_blas_threads``.
     Zero weights contribute exact zeros, so models whose h_n vanish for
     some n (e.g. theta_1 = 0 at n = 1) record -inf there.
     """
@@ -312,15 +318,12 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
     for n in range(1, n_max + 1):
         lo, hi = max(0, n - k_last), n - k_first + 1
         b0, b1 = bisect.bisect_right(h_starts, lo) - 1, bisect.bisect_left(h_starts, hi)
-        if b1 - b0 <= _FEW_BLOCKS:
-            order = sorted(range(b0, b1), key=h_exps.__getitem__, reverse=True)
-        else:                          # the open block first, to bound the rest
-            order = itertools.chain([len(h_starts) - 1], by_exp)
         off = n_max - n
         # a term of block b is below 2**(h_exps[b] + reach - _NEGLIGIBLE_BITS) / n
         reach = _SPAN_BITS + t_top + n.bit_length() + _NEGLIGIBLE_BITS
         parts, top = [], -math.inf     # (exponent, sum) per segment; 2**top bounds the largest
-        for b in order:
+        # the open block first, to bound the rest; a closed block out of reach is passed over
+        for b in itertools.chain([len(h_starts) - 1], by_exp):
             if not b0 <= b < b1:
                 continue
             if h_exps[b] + reach < top:
