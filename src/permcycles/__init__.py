@@ -6,6 +6,7 @@ from .weights import (
     NormalizationTable,
     norm_constants,
     parse_weights,
+    tail_intensity_mass,
     WeightSpecError,
     DegenerateModelError,
 )
@@ -26,7 +27,6 @@ from .point_process import (
     point_measure,
     count_in,
     simulate_limit_process,
-    tail_intensity_mass,
     BoxSpecError,
 )
 from .cycle_stats import (

@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,11 +66,16 @@ from .point_process import (
     parse_boxes,
     point_measure,
     simulate_limit_process,
-    tail_intensity_mass,
 )
 from .rng import RngStream
 from .sampler import SAMPLER_VERSION, PermutationSampler
-from .weights import NormalizationTable, WeightSequence, norm_constants, parse_weights
+from .weights import (
+    NormalizationTable,
+    WeightSequence,
+    norm_constants,
+    parse_weights,
+    tail_intensity_mass,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -79,13 +83,6 @@ __all__ = [
     "run_experiment",
     "write_replicates_csv",
 ]
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    _VERSION = _pkg_version("permcycles")
-except Exception:  # pragma: no cover
-    _VERSION = "unknown"
 
 _LANE_PERM = 0
 _LANE_LIMIT = 1
@@ -368,6 +365,8 @@ def _map_chunks(tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         chunks = [_run_chunk(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_run_chunk, tasks))
     records: list = []
@@ -377,8 +376,10 @@ def _map_chunks(tasks, workers: int) -> list:
 
 
 def _metadata(ws: WeightSequence) -> dict:
+    from . import __version__
+
     return {
-        "package": f"permcycles {_VERSION}",
+        "package": f"permcycles {__version__}",
         "bit_generator": "Philox",
         "sampler": SAMPLER_VERSION,
         "rng_lanes": {"permutations": 0, "limit_process": 1, "mixture": 2},

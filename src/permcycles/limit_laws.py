@@ -67,14 +67,9 @@ def _poisson_count_pmfs(theta_k: float, k: int, counts) -> list[float]:
 # Laplace transforms of additive statistics
 # ---------------------------------------------------------------------------
 
-_DEFAULT_BASE = {1: 2048, 2: 256, 3: 64, 4: 32}
+# coarse midpoint grid points per axis at level m; about 2**(16/m) past the table
+_BASE_POINTS = {1: 2048, 2: 256, 3: 64, 4: 32}
 _CHUNK = 1 << 16
-
-
-def _base_points(m: int, overrides: Mapping[int, int] | None) -> int:
-    if overrides and m in overrides:
-        return int(overrides[m])
-    return _DEFAULT_BASE.get(m, max(6, int(round(2.0 ** (16.0 / m)))))
 
 
 def _cube_integral(f, m: int, t: float, npts: int, symmetric: bool) -> float:
@@ -113,7 +108,6 @@ def laplace_additive(
     t: float,
     *,
     symmetric: bool = True,
-    base_points: Mapping[int, int] | None = None,
 ) -> float:
     """Laplace transform at t of the limiting additive statistic.
 
@@ -141,7 +135,7 @@ def laplace_additive(
         if theta == 0.0:
             continue
         f = functions[m]
-        base = _base_points(m, base_points)
+        base = _BASE_POINTS.get(m, max(6, int(round(2.0 ** (16.0 / m)))))
         coarse = _cube_integral(f, m, t, base, symmetric)
         fine = _cube_integral(f, m, t, 2 * base, symmetric)
         exponent += theta * ((4.0 * fine - coarse) / 3.0)

@@ -40,7 +40,6 @@ __all__ = [
     "count_by_draw",
     "simulate_limit_process",
     "limit_block_counts",
-    "tail_intensity_mass",
 ]
 
 _MAX_BOXES_PER_LEVEL = 16
@@ -313,34 +312,6 @@ def limit_block_counts(
             draw = np.searchsorted(ends, np.arange(start, start + len(rows)), side="right")
             counts += count_by_draw(union, k, rows, draw, draws)
     return counts
-
-
-def tail_intensity_mass(ws: WeightSequence, k_max: int) -> float:
-    """Total limiting intensity past level k_max: sum_{k > k_max} theta_k / k.
-
-    Infinite for weight sequences that do not decay (uniform, ewens,
-    polynomial with power >= 0); finite closed forms otherwise.  Quantifies
-    what a level-truncated simulation of the limit process ignores.
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if ws.kind in ("uniform", "ewens"):
-        return math.inf
-    if ws.kind == "polynomial":
-        if ws.power >= 0:
-            return math.inf
-        from scipy.special import zeta
-
-        # sum_{k>k_max} c * k^(power-1) = c * zeta(1-power, k_max+1)
-        return float(ws.coeff * zeta(1.0 - ws.power, k_max + 1))
-    # explicit list
-    fill = ws.values[-1] if ws.tail == "const" else 0.0
-    if fill > 0:
-        return math.inf
-    listed = sum(
-        v / k for k, v in enumerate(ws.values, start=1) if k > k_max
-    )
-    return float(listed)
 
 
 _BOX_HEADER = re.compile(r"box\s*:\s*k\s*=\s*(\d+)$", re.IGNORECASE)

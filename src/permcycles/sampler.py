@@ -55,69 +55,18 @@ SAMPLER_VERSION = "cycle lengths, then one uniform permutation cut into blocks (
 _CUM_CACHE_SIZE = 64
 
 
-def _trace_cycles(image: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Canonical cycles of a 1-based image tuple.
-
-    Each cycle starts at its smallest element and cycles are listed with
-    increasing minima (scanning from the smallest unvisited element
-    guarantees both at once).
-    """
-    n = len(image)
-    seen = bytearray(n + 1)
-    out = []
-    for s in range(1, n + 1):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = 1
-        j = image[s - 1]
-        while j != s:
-            cyc.append(j)
-            seen[j] = 1
-            j = image[j - 1]
-        out.append(tuple(cyc))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..n} stored as its canonical cycles.
 
     Each cycle starts at its smallest element and cycles are listed with
-    increasing minima, so the cycles determine the permutation and equal
-    permutations compare and hash equal however they were built.  The image,
+    increasing minima; the constructor takes them in that form, so equal
+    permutations compare and hash equal.  The image,
     image[i-1] = sigma(i), is derived from the cycles on first use.
     """
 
     n: int
     cycles: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_image(cls, image) -> "Permutation":
-        img = tuple(int(v) for v in image)
-        n = len(img)
-        if sorted(img) != list(range(1, n + 1)):
-            raise ValueError("image is not a bijection of 1..n")
-        perm = cls(n, _trace_cycles(img))
-        perm.__dict__["image"] = img
-        return perm
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "Permutation":
-        image = [0] * (n + 1)
-        for c in cycles:
-            tup = tuple(int(v) for v in c)
-            for a, b in zip(tup, tup[1:] + (tup[0],)):
-                if not 1 <= a <= n or image[a]:
-                    raise ValueError(f"cycles do not form a partition of 1..{n}")
-                image[a] = b
-        if 0 in image[1:]:
-            raise ValueError(f"cycles do not form a partition of 1..{n}")
-        return cls.from_image(image[1:])
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(n, tuple((i,) for i in range(1, n + 1)))
 
     @cached_property
     def image(self) -> tuple[int, ...]:

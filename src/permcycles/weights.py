@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "WeightSequence",
     "NormalizationTable",
+    "tail_intensity_mass",
     "norm_constants",
     "parse_weights",
     "WeightSpecError",
@@ -43,50 +44,43 @@ class DegenerateModelError(ValueError):
     """Every permutation of the requested size carries zero weight."""
 
 
-_KINDS = ("uniform", "ewens", "polynomial", "explicit")
-_TAILS = ("const", "zero")
-
-
 @dataclass(frozen=True)
 class WeightSequence:
-    """One of the supported cycle-weight families.
+    """Cycle weights theta_k = values[k-1] for k <= len(values), then coeff * k**power.
 
-    Instances are immutable and hashable so they can key caches.  Use the
-    factory classmethods (or :func:`parse_weights`) rather than the raw
-    constructor.
+    Every supported family has this form: ``uniform`` is coeff 1, ``ewens``
+    coeff theta, ``polynomial`` (coeff, power), and an explicit list has its
+    values with coeff the last value (``tail="const"``) or 0 (``"zero"``) and
+    power 0.  ``spec`` is the grammar form the factory was given.  Instances
+    are immutable and hashable so they can key caches.  Use the factory
+    classmethods (or :func:`parse_weights`) rather than the raw constructor.
     """
 
-    kind: str
-    theta_param: float = 1.0
-    coeff: float = 1.0
-    power: float = 0.0
-    values: tuple[float, ...] = ()
-    tail: str = "const"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.tail not in _TAILS:
-            raise ValueError(f"unknown tail rule {self.tail!r}")
+    spec: str
+    values: tuple[float, ...]
+    coeff: float
+    power: float
 
     @classmethod
     def uniform(cls) -> "WeightSequence":
         """theta_k = 1 for every k (the uniform measure on S_n)."""
-        return cls("uniform")
+        return cls("uniform", (), 1.0, 0.0)
 
     @classmethod
     def ewens(cls, theta: float) -> "WeightSequence":
         """theta_k = theta for every k; theta must be positive."""
+        theta = float(theta)
         if not theta > 0:
             raise ValueError(f"ewens parameter must be positive, got {theta!r}")
-        return cls("ewens", theta_param=float(theta))
+        return cls(f"ewens:{theta!r}", (), theta, 0.0)
 
     @classmethod
     def polynomial(cls, coeff: float, power: float) -> "WeightSequence":
         """theta_k = coeff * k**power with coeff > 0."""
+        coeff, power = float(coeff), float(power)
         if not coeff > 0:
             raise ValueError(f"polynomial coefficient must be positive, got {coeff!r}")
-        return cls("polynomial", coeff=float(coeff), power=float(power))
+        return cls(f"poly:{coeff!r},{power!r}", (), coeff, power)
 
     @classmethod
     def explicit(cls, values, tail: str = "const") -> "WeightSequence":
@@ -98,122 +92,93 @@ class WeightSequence:
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("explicit weight list must not be empty")
-        if any(v < 0 for v in vals):
-            raise ValueError("explicit weights must be non-negative")
-        if tail not in _TAILS:
+        bad = [v for v in vals if not v >= 0]
+        if bad:
+            raise ValueError(f"explicit weights must be non-negative, got {bad[0]!r}")
+        if tail not in ("const", "zero"):
             raise ValueError(f"unknown tail rule {tail!r}")
-        return cls("explicit", values=vals, tail=tail)
+        body = ",".join(repr(v) for v in vals)
+        return cls(f"list:{body};tail={tail}", vals, vals[-1] if tail == "const" else 0.0, 0.0)
 
     def theta(self, k: int) -> float:
         """The weight attached to cycle length ``k`` (k >= 1)."""
         if k != int(k) or k < 1:
             raise ValueError(f"cycle length must be a positive integer, got {k!r}")
         k = int(k)
-        if self.kind == "uniform":
-            return 1.0
-        if self.kind == "ewens":
-            return self.theta_param
-        if self.kind == "polynomial":
-            return self.coeff * float(k) ** self.power
         if k <= len(self.values):
             return self.values[k - 1]
-        return self.values[-1] if self.tail == "const" else 0.0
+        return self.coeff * float(k) ** self.power
 
     def log_theta_array(self, k_max: int) -> np.ndarray:
         """log(theta_k) for k = 0..k_max as an array; index 0 is unused (-inf)."""
         out = np.full(k_max + 1, -np.inf)
         if k_max < 1:
             return out
-        ks = np.arange(1, k_max + 1, dtype=float)
+        m = min(len(self.values), k_max)
         with np.errstate(divide="ignore"):
-            if self.kind == "uniform":
-                out[1:] = 0.0
-            elif self.kind == "ewens":
-                out[1:] = math.log(self.theta_param)
-            elif self.kind == "polynomial":
-                out[1:] = math.log(self.coeff) + self.power * np.log(ks)
-            else:
-                vals = list(self.values[:k_max])
-                fill = self.values[-1] if self.tail == "const" else 0.0
-                vals += [fill] * (k_max - len(vals))
-                out[1:] = np.log(np.asarray(vals))
+            out[1:m + 1] = np.log(self.values[:m])
+        if self.coeff > 0:
+            ks = np.arange(m + 1, k_max + 1, dtype=float)
+            out[m + 1:] = math.log(self.coeff) + self.power * np.log(ks)
         return out
 
     def spec_string(self) -> str:
         """Grammar form of this sequence; parse_weights round-trips it."""
-        if self.kind == "uniform":
-            return "uniform"
-        if self.kind == "ewens":
-            return f"ewens:{self.theta_param!r}"
-        if self.kind == "polynomial":
-            return f"poly:{self.coeff!r},{self.power!r}"
-        body = ",".join(repr(v) for v in self.values)
-        return f"list:{body};tail={self.tail}"
+        return self.spec
+
+
+def tail_intensity_mass(ws: WeightSequence, k_max: int) -> float:
+    """Total limiting intensity past level k_max: sum_{k > k_max} theta_k / k.
+
+    Infinite unless the tail coeff * k**power vanishes or decays (power < 0,
+    summed as a Hurwitz zeta).  Quantifies what a level-truncated simulation
+    of the limit process ignores.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    listed = sum(v / k for k, v in enumerate(ws.values, start=1) if k > k_max)
+    if ws.coeff == 0:
+        return float(listed)
+    if ws.power >= 0:
+        return math.inf
+    from scipy.special import zeta
+
+    # sum_{k>K} c * k^(power-1) = c * zeta(1-power, K+1), K past every listed value
+    return float(listed + ws.coeff * zeta(1.0 - ws.power, max(k_max, len(ws.values)) + 1))
 
 
 def parse_weights(spec: str) -> WeightSequence:
     """Parse a weight specification string.
 
     Grammar: ``uniform`` | ``ewens:<theta>`` | ``poly:<c>,<gamma>`` |
-    ``list:<v1>,...,<vm>[;tail=const|zero]``.
+    ``list:<v1>,...,<vm>[;tail=const|zero]``.  The values are checked by the
+    factory of :class:`WeightSequence` the spec names.
     """
     text = spec.strip()
-    low = text.lower()
-    if low == "uniform":
-        return WeightSequence.uniform()
-    if low.startswith("ewens:"):
-        body = text[len("ewens:"):]
-        try:
-            theta = float(body)
-        except ValueError:
-            raise WeightSpecError(f"ewens parameter {body!r} is not a number") from None
-        if not theta > 0:
-            raise WeightSpecError(f"ewens parameter must be positive, got {body!r}")
-        return WeightSequence.ewens(theta)
-    if low.startswith("poly:"):
-        body = text[len("poly:"):]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise WeightSpecError(f"poly spec {body!r} needs exactly two parameters")
-        try:
-            coeff, power = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise WeightSpecError(f"poly parameters {body!r} are not numbers") from None
-        if not coeff > 0:
-            raise WeightSpecError(f"poly coefficient must be positive, got {parts[0]!r}")
-        return WeightSequence.polynomial(coeff, power)
-    if low.startswith("list:"):
-        body = text[len("list:"):]
-        tail = "const"
-        if ";" in body:
-            body, _, tail_part = body.partition(";")
-            tail_part = tail_part.strip().lower()
-            if not tail_part.startswith("tail="):
-                raise WeightSpecError(f"unknown list option {tail_part!r}")
-            tail = tail_part[len("tail="):]
-            if tail not in _TAILS:
-                raise WeightSpecError(f"unknown tail rule {tail!r}")
-        items = [s.strip() for s in body.split(",")]
-        if not any(items):
-            raise WeightSpecError("list spec has no values")
-        try:
-            vals = [float(s) for s in items]
-        except ValueError:
-            bad = next(s for s in items if not _is_float(s))
-            raise WeightSpecError(f"list value {bad!r} is not a number") from None
-        if any(v < 0 for v in vals):
-            bad = next(v for v in vals if v < 0)
-            raise WeightSpecError(f"list value {bad!r} is negative")
-        return WeightSequence.explicit(vals, tail=tail)
-    raise WeightSpecError(f"unknown weight kind in {text!r}")
-
-
-def _is_float(s: str) -> bool:
+    head, colon, body = text.partition(":")
+    head = head.lower()
     try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+        if text.lower() == "uniform":
+            return WeightSequence.uniform()
+        if colon and head == "ewens":
+            return WeightSequence.ewens(body)
+        if colon and head == "poly":
+            parts = body.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"poly spec {body!r} needs exactly two parameters")
+            return WeightSequence.polynomial(*parts)
+        if colon and head == "list":
+            body, semi, option = body.partition(";")
+            option = option.strip().lower()
+            if semi and not option.startswith("tail="):
+                raise ValueError(f"unknown list option {option!r}")
+            items = body.split(",")
+            if not any(s.strip() for s in items):
+                raise ValueError("list spec has no values")
+            return WeightSequence.explicit(items, tail=option[len("tail="):] if semi else "const")
+    except ValueError as err:
+        raise WeightSpecError(str(err)) from None
+    raise WeightSpecError(f"unknown weight kind in {text!r}")
 
 
 @dataclass(eq=False)

@@ -393,9 +393,12 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # a fresh interpreter, since this one has scipy loaded by the suite
+    # a fresh interpreter, since this one has scipy loaded by the suite; nor the
+    # process pool, which only a parallel run needs, nor the metadata lookup
     code = ("import sys, permcycles.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m == 'importlib.metadata' or "
+            "m.split('.')[0] in ('scipy', 'multiprocessing') or "
+            "m.startswith('concurrent.futures.process')))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from perms import from_cycles, from_image, identity
 from permcycles import (
     CycleStatistics,
     ExactDistribution,
@@ -47,32 +48,32 @@ def cycle_counts(perm: Permutation, k_max: int) -> dict[int, int]:
 
 
 def test_cycle_counts_examples():
-    assert cycle_counts(Permutation.identity(4), 2) == {1: 4, 2: 0}
-    assert cycle_counts(Permutation.from_image((2, 1, 4, 3)), 2) == {1: 0, 2: 2}
-    assert cycle_counts(Permutation.from_image((2, 3, 1)), 5) == {
+    assert cycle_counts(identity(4), 2) == {1: 4, 2: 0}
+    assert cycle_counts(from_image((2, 1, 4, 3)), 2) == {1: 0, 2: 2}
+    assert cycle_counts(from_image((2, 3, 1)), 5) == {
         1: 0, 2: 0, 3: 1, 4: 0, 5: 0,
     }
     with pytest.raises(ValueError):
-        cycle_counts(Permutation.identity(3), 0)
+        cycle_counts(identity(3), 0)
 
 
 def test_sum_of_k_cycles_examples():
-    assert sum_of_k_cycles(Permutation.identity(3), 1) == 6
-    assert sum_of_k_cycles(Permutation.from_image((2, 1, 3)), 2) == 3
-    assert sum_of_k_cycles(Permutation.from_image((2, 1, 3)), 3) == 0
+    assert sum_of_k_cycles(identity(3), 1) == 6
+    assert sum_of_k_cycles(from_image((2, 1, 3)), 2) == 3
+    assert sum_of_k_cycles(from_image((2, 1, 3)), 3) == 0
     with pytest.raises(ValueError):
-        sum_of_k_cycles(Permutation.identity(3), 0)
+        sum_of_k_cycles(identity(3), 0)
 
 
 def test_cycle_ranges_examples():
-    assert cycle_ranges(Permutation.from_image((2, 1, 4, 3)), 2) == (1, 1)
+    assert cycle_ranges(from_image((2, 1, 4, 3)), 2) == (1, 1)
     # 2-cycles (1,4) and (2,3): spreads 3 and 1
-    p = Permutation.from_cycles(4, [(1, 4), (2, 3)])
+    p = from_cycles(4, [(1, 4), (2, 3)])
     assert cycle_ranges(p, 2) == (1, 3)
     # no 3-cycle: the (n, 0) convention
-    assert cycle_ranges(Permutation.from_image((2, 1, 3)), 3) == (3, 0)
+    assert cycle_ranges(from_image((2, 1, 3)), 3) == (3, 0)
     with pytest.raises(ValueError):
-        cycle_ranges(Permutation.identity(3), 1)
+        cycle_ranges(identity(3), 1)
 
 
 def _image_fixed_point_summary(perm: Permutation) -> FixedPointSummary:
@@ -94,7 +95,7 @@ def _image_fixed_point_summary(perm: Permutation) -> FixedPointSummary:
 def test_fixed_point_summary_matches_image_scan_on_all_of_s1_to_s6():
     for n in range(1, 7):
         for image in itertools.permutations(range(1, n + 1)):
-            perm = Permutation.from_image(image)
+            perm = from_image(image)
             assert fixed_point_summary(perm) == _image_fixed_point_summary(perm)
 
 
@@ -108,20 +109,20 @@ def test_fixed_point_summary_matches_image_scan_on_sampled_permutations(ws):
 
 
 def test_fixed_point_summary_examples():
-    p = Permutation.from_cycles(5, [(1, 3), (2,), (4,), (5,)])
+    p = from_cycles(5, [(1, 3), (2,), (4,), (5,)])
     # fixed points {2, 4, 5}: gaps {2, 2, 1, 1}
     assert fixed_point_summary(p) == FixedPointSummary(2, 5, 1, 2)
-    q = Permutation.from_cycles(5, [(1, 3), (2, 4), (5,)])
+    q = from_cycles(5, [(1, 3), (2, 4), (5,)])
     assert fixed_point_summary(q) == FixedPointSummary(5, 5, 1, 5)
-    none = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
+    none = from_cycles(5, [(1, 2, 3, 4, 5)])
     assert fixed_point_summary(none) == FixedPointSummary(6, 0, 6, 6)
-    ident = Permutation.identity(3)
+    ident = identity(3)
     assert fixed_point_summary(ident) == FixedPointSummary(1, 3, 1, 1)
 
 
 def test_fixed_point_summary_mid_window():
     # fixed points {2, 4} in n=5: gaps {2, 2, 2}
-    p = Permutation.from_cycles(5, [(1, 3, 5), (2,), (4,)])
+    p = from_cycles(5, [(1, 3, 5), (2,), (4,)])
     assert fixed_point_summary(p) == FixedPointSummary(2, 4, 2, 2)
 
 

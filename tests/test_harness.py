@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perms import from_image
+import permcycles
 from permcycles import harness, oracle
 from permcycles import (
     ExperimentConfig,
     ExperimentReport,
-    Permutation,
     PermutationSampler,
     RngStream,
     count_in,
@@ -182,6 +183,15 @@ def test_counts_experiment_report_shape():
     text = report.summary()
     assert "per_count.1.tv_distance" in text
     assert "mode" in text
+
+
+def test_report_metadata_names_the_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert permcycles.__version__ == version
+    payload = json.loads(run_experiment(_cfg(replicates=2)).to_json())
+    assert payload["metadata"]["package"] == f"permcycles {version}"
 
 
 def test_counts_single_replicate_is_flagged():
@@ -375,7 +385,7 @@ def test_cdf_extractors_agree_with_the_oracle_on_s5():
         extract = harness._scaled_statistic_fn(selector, n)
         oracle_fn = oracle._parse_statistic(selector, n)
         for image in itertools.permutations(range(1, n + 1)):
-            perm = Permutation.from_image(image)
+            perm = from_image(image)
             assert extract(perm) == oracle_fn(perm.cycles) / n, (selector, image)
 
 

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from conftest import FAMILIES
+from perms import from_image
 from permcycles import (
     BoxSpec,
     BoxSpecError,
     BoxUnion,
     Interval,
     PermutationSampler,
-    Permutation,
     PointMeasure,
     RngStream,
     WeightSequence,
@@ -28,6 +28,7 @@ from permcycles import (
     intensity,
     norm_constants,
     parse_boxes,
+    parse_weights,
     point_measure,
     simulate_limit_process,
     tail_intensity_mass,
@@ -137,18 +138,18 @@ def _random_box(rnd, k):
 
 
 def test_point_measure_identity_n2():
-    pm = point_measure(Permutation.from_image((1, 2)))
+    pm = point_measure(from_image((1, 2)))
     assert pm.n == 2
     assert pm.levels == {1: ((0.5,), (1.0,))}
 
 
 def test_point_measure_transposition():
-    pm = point_measure(Permutation.from_image((2, 1)))
+    pm = point_measure(from_image((2, 1)))
     assert pm.levels == {2: ((0.5, 1.0),)}
 
 
 def test_point_measure_mixed():
-    pm = point_measure(Permutation.from_image((1, 3, 2)))
+    pm = point_measure(from_image((1, 3, 2)))
     assert pm.restrict(1) == ((1 / 3,),)
     assert pm.restrict(2) == ((2 / 3, 1.0),)
     assert pm.restrict(5) == ()
@@ -505,7 +506,7 @@ def test_limit_block_memory_stays_bounded_at_large_theta():
 
 
 def test_count_in_examples():
-    pm = point_measure(Permutation.from_image((2, 1, 4, 3)))
+    pm = point_measure(from_image((2, 1, 4, 3)))
     # level-2 points: (0.25, 0.5) and (0.75, 1.0)
     union = parse_boxes("box:k=2;0,0.5;0,0.5")
     assert count_in(pm, union) == 1
@@ -516,7 +517,7 @@ def test_count_in_examples():
 
 
 def test_count_in_multi_level():
-    pm = point_measure(Permutation.from_image((1, 3, 2)))
+    pm = point_measure(from_image((1, 3, 2)))
     union = parse_boxes("box:k=1;0,0.4 ; box:k=2;0.5,1;0.5,1")
     assert count_in(pm, union) == 2
 
@@ -607,5 +608,8 @@ def test_tail_intensity_mass():
     assert tail_intensity_mass(
         WeightSequence.explicit((1.0, 0.5), tail="const"), 3
     ) == math.inf
+    # a constant tail of 0 stops at the list, a positive one never does
+    assert tail_intensity_mass(parse_weights("list:1,0"), 0) == 1.0
+    assert tail_intensity_mass(parse_weights("list:0.5,2"), 5) == math.inf
     with pytest.raises(ValueError):
         tail_intensity_mass(WeightSequence.uniform(), -1)

@@ -101,9 +101,32 @@ def test_parse_weights(text, expect):
     assert parse_weights(text) == expect
 
 
+_SPECS = [
+    "uniform", "ewens:2", "EWENS:0.5", "ewens:1.5", "ewens:1000", "ewens:1",
+    "poly:1,-0.5", "  poly: 2 , 1 ", "poly:1,0.5", "poly:1,60", "poly:2,-1.5", "poly:1,0",
+    "list:0.5,2,1", "list:0.5,2;tail=zero", "List:1,1 ; TAIL=CONST", "list:1,0",
+    "list:2;tail=zero", "list:0,1", "list:0,0,1.5;tail=zero", "list:1e-200,1e200,1",
+    "list:0;tail=zero",
+]
+
+
 def test_spec_string_round_trip():
     for _, ws in FAMILIES:
         assert parse_weights(ws.spec_string()) == ws
+    for spec in _SPECS:
+        ws = parse_weights(spec)
+        again = parse_weights(ws.spec_string())
+        assert again == ws and hash(again) == hash(ws)
+        assert again.spec_string() == ws.spec_string()
+        assert [again.theta(k) for k in range(1, 9)] == [ws.theta(k) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("c", [1.05, 2.0, 40.4, 73.72])
+def test_a_constant_list_tail_is_the_ewens_weight(c):
+    # past the list, the same tail c * k**0 gives the same log weights, to the last bit
+    listed = parse_weights(f"list:0.5,{c!r}").log_theta_array(50)
+    assert listed[1] == math.log(0.5)
+    assert np.array_equal(listed[3:], WeightSequence.ewens(c).log_theta_array(50)[3:])
 
 
 @pytest.mark.parametrize(
