@@ -4,6 +4,12 @@ Small, dependency-light building blocks shared by the experiment harness:
 empirical CDFs, Kolmogorov-Smirnov distances (one grid-based and one
 classical two-sample), total variation between finite pmfs, a chi-square
 test with automatic cell pooling, and the DKW confidence width.
+
+The chi-square p-value is the regularized upper incomplete gamma function
+Q(a, x), computed as in Press et al., *Numerical Recipes*, section 6.2: the
+power series for P = 1 - Q below x = a + 1 and the continued fraction for Q,
+summed by the modified Lentz method, above it.  Both share the prefactor
+x**a e**-x / Gamma(a), taken in log space from Stirling's series.
 """
 
 from __future__ import annotations
@@ -114,12 +120,67 @@ def chi_square_gof(
     cells = len(exp)
     if cells < 2:
         return ChiSquareResult(0.0, 0, math.nan, cells, insufficient=True)
-    from scipy.special import gammaincc  # here, so importing permcycles leaves scipy unloaded
-
     stat = math.fsum((o - e) ** 2 / e for o, e in zip(obs, exp))
     dof = cells - 1
-    p = float(gammaincc(dof / 2.0, stat / 2.0))
-    return ChiSquareResult(stat, dof, p, cells)
+    return ChiSquareResult(stat, dof, _gamma_q(dof / 2.0, stat / 2.0), cells)
+
+
+_EPS = math.ulp(1.0)
+_TINY = 1e-300
+_MAX_TERMS = 100_000
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_gamma_prefactor(a: float, x: float) -> float:
+    """log(x**a e**-x / Gamma(a)), with no cancellation between large terms.
+
+    Written as a log(x / a) - (x - a) + log(a / 2 pi) / 2 - r(a), where r(a)
+    is the remainder of Stirling's series for lgamma(a); near x = a the log
+    is log1p((x - a) / a).
+    """
+    if a >= 15.0:  # five terms of the series leave less than 3e-16
+        r2 = 1.0 / (a * a)
+        rest = (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188)))) / a
+    else:
+        rest = math.lgamma(a) - (a - 0.5) * math.log(a) + a - _HALF_LOG_2PI
+    u = (x - a) / a
+    log_ratio = math.log1p(u) if abs(u) < 0.5 else math.log(x / a)
+    return a * log_ratio - (x - a) + 0.5 * math.log(a) - _HALF_LOG_2PI - rest
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
+    if not (0.0 < a < math.inf and x >= 0.0):
+        raise ValueError(f"Q(a, x) needs finite a > 0 and x >= 0, got a={a}, x={x}")
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    prefactor = math.exp(_log_gamma_prefactor(a, x))
+    if x < a + 1.0:
+        # P(a, x) = prefactor * sum_{i >= 0} x**i / (a (a + 1) ... (a + i))
+        term = total = 1.0 / a
+        for i in range(1, _MAX_TERMS):
+            term *= x / (a + i)
+            total += term
+            if term <= total * _EPS:
+                return 1.0 - prefactor * total
+    else:
+        # Q(a, x) = prefactor / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / (x + 5 - a - ...)))
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        frac = d
+        for i in range(1, _MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            c = b + an / c
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = c if abs(c) >= _TINY else _TINY
+            frac *= d * c
+            if abs(d * c - 1.0) <= _EPS:
+                return prefactor * frac
+    raise ArithmeticError(f"Q({a}, {x}) did not converge in {_MAX_TERMS} terms")
 
 
 def dkw_epsilon(n: int, alpha: float = 0.05) -> float:

@@ -438,8 +438,6 @@ def _counts(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable
         per_count: dict[str, dict] = {}
         for k in range(1, cfg.k_max + 1):
             col = data[:, k - 1]
-            values, freq = np.unique(col, return_counts=True)
-            emp = {int(v): c / n_rep for v, c in zip(values, freq)}
             if cfg.compare == "oracle":
                 dist = exact_statistic_distribution(ws, n, f"count:{k}")
                 theory = {int(v): float(p) for v, p in zip(dist.support, dist.probabilities)}
@@ -447,8 +445,9 @@ def _counts(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable
             else:
                 theory = _poisson_pmf_dict(ws.theta(k), k)
                 theory_mean = ws.theta(k) / k
-            j_hi = max(max(emp), max(theory))
-            observed = [int(np.sum(col == j)) for j in range(j_hi + 1)] + [0]
+            j_hi = max(int(col.max()), max(theory))
+            observed = np.bincount(col, minlength=j_hi + 1).tolist() + [0]
+            emp = {j: c / n_rep for j, c in enumerate(observed) if c}
             covered = math.fsum(theory.get(j, 0.0) for j in range(j_hi + 1))
             expected = [n_rep * theory.get(j, 0.0) for j in range(j_hi + 1)]
             expected.append(n_rep * max(0.0, 1.0 - covered))

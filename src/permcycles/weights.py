@@ -127,12 +127,44 @@ class WeightSequence:
         return self.spec
 
 
+# B_2j / (2j)! for j = 1..12: the Euler-Maclaurin corrections of _hurwitz_zeta
+_BERNOULLI_TERMS = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                           -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                           -236364091 / 2730), start=1)
+)
+
+
+def _hurwitz_zeta(s: float, q: float) -> float:
+    """Hurwitz zeta(s, q) = sum_{k >= 0} (q + k)**-s for s > 1 and q > 0.
+
+    Euler-Maclaurin summation: the terms below w = q + N are summed directly,
+    with N the least count that makes w >= max(s, 25); the rest is the
+    integral w**(1 - s) / (s - 1), half the term at w and 12 Bernoulli
+    corrections B_2j / (2j)! * s (s + 1) ... (s + 2j - 2) * w**(-s - 2j + 1).
+    With w >= max(s, 25) the 13th correction is below 4e-17 of the sum.
+    """
+    if not (s > 1.0 and q > 0.0):
+        raise ValueError(f"Hurwitz zeta needs s > 1 and q > 0, got s={s}, q={q}")
+    n = max(0, math.ceil(max(s, 25.0) - q))
+    head = math.fsum((q + k) ** -s for k in range(n))
+    w = q + n
+    rest = w ** (1.0 - s) / (s - 1.0) + 0.5 * w ** -s
+    rising = s * w ** (-s - 1.0)  # s (s + 1) ... (s + 2j - 2) * w**(-s - 2j + 1)
+    for j, coeff in enumerate(_BERNOULLI_TERMS, start=1):
+        rest += coeff * rising
+        rising *= (s + 2 * j - 1) * (s + 2 * j) / (w * w)
+    return head + rest
+
+
 def tail_intensity_mass(ws: WeightSequence, k_max: int) -> float:
     """Total limiting intensity past level k_max: sum_{k > k_max} theta_k / k.
 
-    Infinite unless the tail coeff * k**power vanishes or decays (power < 0,
-    summed as a Hurwitz zeta).  Quantifies what a level-truncated simulation
-    of the limit process ignores.
+    Infinite unless the tail coeff * k**power vanishes or decays.  A decaying
+    tail (power < 0) is the Hurwitz zeta coeff * zeta(1 - power, K + 1), K past
+    every listed value, by Euler-Maclaurin summation with 12 Bernoulli terms.
+    Quantifies what a level-truncated simulation of the limit process ignores.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -141,10 +173,7 @@ def tail_intensity_mass(ws: WeightSequence, k_max: int) -> float:
         return float(listed)
     if ws.power >= 0:
         return math.inf
-    from scipy.special import zeta
-
-    # sum_{k>K} c * k^(power-1) = c * zeta(1-power, K+1), K past every listed value
-    return float(listed + ws.coeff * zeta(1.0 - ws.power, max(k_max, len(ws.values)) + 1))
+    return float(listed + ws.coeff * _hurwitz_zeta(1.0 - ws.power, max(k_max, len(ws.values)) + 1))
 
 
 def parse_weights(spec: str) -> WeightSequence:

@@ -404,3 +404,33 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_running_the_cli_needs_no_scipy(tmp_path):
+    # a fresh interpreter in which any scipy import raises ImportError; the
+    # configs reach the chi-square p-value (both compare modes) and the
+    # Hurwitz zeta of a decaying tail (the avoidance run on poly:2,-0.5)
+    configs = {
+        "limit": "kind = counts\nweights = ewens:1.5\nn = 12\nreplicates = 300\nk_max = 2\n",
+        "oracle": "kind = counts\nweights = ewens:1.5\nn = 5\nreplicates = 300\n"
+                  "k_max = 2\ncompare = oracle\n",
+        "avoid": "kind = avoidance\nweights = poly:2,-0.5\nn = 40\nreplicates = 50\n"
+                 "limit_draws = 200\nboxes = box:k=1;0,0.5;box:k=2;0,1;0.5,1\n",
+    }
+    runs = [["experiment", "--config", str(tmp_path / f"{name}.cfg")] for name in configs]
+    runs += [["limit", "cdf", "--law", "minrange", "--theta", "1", "--k", "2",
+              "--grid", "0:1:0.25"],
+             ["exact", "--weights", "uniform", "--n", "4", "--statistic", "cycle_type"]]
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    code = ("import contextlib, io, sys; sys.modules['scipy'] = None; "
+            "from permcycles.cli import main; "
+            "codes = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(main(argv))\n"
+            "print(codes)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == str([0] * len(runs)), out.stderr

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
-from scipy.special import logsumexp
+from scipy.special import logsumexp, zeta
 from hypothesis import strategies as st
 
 from conftest import FAMILIES
@@ -22,6 +22,7 @@ from permcycles import (
     cycle_length_distribution,
     parse_weights,
 )
+from permcycles.weights import _hurwitz_zeta
 
 
 # ---------------------------------------------------------------- sequences
@@ -324,3 +325,18 @@ def test_degenerate_model_signals():
     ws = WeightSequence.explicit((0.0,), tail="zero")
     with pytest.raises(DegenerateModelError):
         cycle_length_distribution(ws, norm_constants(ws, 4), 4)
+
+
+# ------------------------------------------------------------- hurwitz zeta
+
+
+@pytest.mark.parametrize("s", [1 + 1e-6, 1.01, 1.5, 2.0, 3.5, 8.0])
+@pytest.mark.parametrize("q", [1.0, 2.0, 5.0, 7.0, 100.0, 1e4])
+def test_hurwitz_zeta_matches_scipy(s, q):
+    assert _hurwitz_zeta(s, q) == pytest.approx(float(zeta(s, q)), rel=1e-12)
+
+
+def test_hurwitz_zeta_rejects_its_divergent_range():
+    for s, q in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            _hurwitz_zeta(s, q)
