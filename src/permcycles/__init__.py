@@ -17,7 +17,6 @@ from .sampler import (
     cycle_length_distribution,
 )
 from .point_process import (
-    Interval,
     BoxSpec,
     BoxUnion,
     PointMeasure,

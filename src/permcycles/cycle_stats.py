@@ -92,24 +92,14 @@ class CycleStatistics:
     def from_permutation(cls, perm: Permutation, k_max: int) -> "CycleStatistics":
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
-        n = perm.n
-        counts = {k: 0 for k in range(1, k_max + 1)}
-        sums = {k: 0 for k in range(1, k_max + 1)}
-        spreads: dict[int, list[int]] = {k: [] for k in range(2, k_max + 1)}
+        counts = dict.fromkeys(range(1, k_max + 1), 0)
         for c in perm.cycles:
-            length = len(c)
-            if length <= k_max:
-                counts[length] += 1
-                sums[length] += sum(c)
-                if length >= 2:
-                    spreads[length].append(max(c) - min(c))
-        min_range = {
-            k: (min(v) if v else n) for k, v in spreads.items()
-        }
-        max_range = {
-            k: (max(v) if v else 0) for k, v in spreads.items()
-        }
-        return cls(n, counts, sums, min_range, max_range, fixed_point_summary(perm))
+            if len(c) <= k_max:
+                counts[len(c)] += 1
+        ranges = {k: cycle_ranges(perm, k) for k in range(2, k_max + 1)}
+        return cls(perm.n, counts, {k: sum_of_k_cycles(perm, k) for k in counts},
+                   {k: r[0] for k, r in ranges.items()}, {k: r[1] for k, r in ranges.items()},
+                   fixed_point_summary(perm))
 
 
 class Statistic(NamedTuple):

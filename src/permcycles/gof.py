@@ -72,6 +72,9 @@ def tv_distance(p: Mapping, q: Mapping) -> float:
     return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+_MIN_EXPECTED = 5.0  # chi-square cells expecting fewer counts are pooled with a neighbour
+
+
 @dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
@@ -81,14 +84,12 @@ class ChiSquareResult:
     insufficient: bool = False
 
 
-def chi_square_gof(
-    observed, expected, min_expected: float = 5.0
-) -> ChiSquareResult:
+def chi_square_gof(observed, expected) -> ChiSquareResult:
     """Pearson chi-square test with adjacent-cell pooling.
 
     ``observed`` are counts, ``expected`` the model's expected counts for the
     same cells (totals must agree).  Cells with expected count below
-    ``min_expected`` are merged into their smaller neighbor until all pass.
+    ``_MIN_EXPECTED`` are merged into their smaller neighbor until all pass.
     If pooling collapses everything into a single cell the sample cannot
     support the test and the result is flagged insufficient with a NaN
     p-value.
@@ -105,7 +106,7 @@ def chi_square_gof(
     if not math.isclose(t_obs, t_exp, rel_tol=1e-6, abs_tol=1e-6):
         raise ValueError(f"totals differ: observed {t_obs}, expected {t_exp}")
 
-    while len(exp) > 1 and min(exp) < min_expected:
+    while len(exp) > 1 and min(exp) < _MIN_EXPECTED:
         i = exp.index(min(exp))
         if i == 0:
             j = 1

@@ -89,6 +89,7 @@ _LANE_LIMIT = 1
 _LANE_MIXTURE = 2
 _LIMIT_BLOCK = 4096  # limit-process draws per stream
 _HELD_VALUES = 1 << 16  # cycle entries an avoid chunk holds before counting them
+_TAIL_EPS = 1e-12  # Poisson mass a counts run's theory table may leave above its last cell
 # Names how the limit simulation consumes randomness; reports carry it in their metadata.
 LIMIT_STREAM_VERSION = (
     f"one stream per {_LIMIT_BLOCK}-draw block keyed (seed, 1, block); per level the "
@@ -104,6 +105,8 @@ _KIND_KEYS = {
     "boxes": "avoidance",
     "limit_draws": "avoidance",
     "compare": "counts",
+    "k_max": "counts",
+    "grid_points": "cdf",
 }
 _INT_FIELDS = {
     "n",
@@ -392,12 +395,12 @@ def _metadata(ws: WeightSequence) -> dict:
     }
 
 
-def _poisson_pmf_dict(theta_k: float, k: int, tail_eps: float = 1e-12) -> dict[int, float]:
-    """Poisson(theta_k / k) pmf on 0..J, J the first j >= mean leaving < tail_eps mass above.
+def _poisson_pmf_dict(theta_k: float, k: int) -> dict[int, float]:
+    """Poisson(theta_k / k) pmf on 0..J, J the first j >= mean leaving < _TAIL_EPS mass above.
 
     Terms are computed in log space, so a large mean cannot underflow them, on
     0..mean + 10 sqrt(mean) + 40, beyond which the true tail is far below
-    ``tail_eps``.  Rounding in j log(mean) grows like eps * mean, so the terms
+    ``_TAIL_EPS``.  Rounding in j log(mean) grows like eps * mean, so the terms
     are divided by their sum; a sum off 1 by more than 1e-6 is more than
     rounding, and the function raises.
     """
@@ -413,7 +416,7 @@ def _poisson_pmf_dict(theta_k: float, k: int, tail_eps: float = 1e-12) -> dict[i
         raise ValueError(f"Poisson({mean!r}) pmf for {k}-cycles sums to {total!r} on 0..{j_top}")
     # the tail is summed from the top, so it keeps its precision however small
     j_end, above = j_top, 0.0
-    while j_end - 1 >= mean and (above + terms[j_end]) / total < tail_eps:
+    while j_end - 1 >= mean and (above + terms[j_end]) / total < _TAIL_EPS:
         above += terms[j_end]
         j_end -= 1
     return {j: terms[j] / total for j in range(j_end + 1)}

@@ -26,7 +26,6 @@ from .rng import RngStream
 from .weights import WeightSequence
 
 __all__ = [
-    "Interval",
     "BoxSpec",
     "BoxUnion",
     "PointMeasure",
@@ -51,36 +50,32 @@ class BoxSpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """A subinterval of [0,1] with configurable endpoint closure."""
-
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lo <= self.hi <= 1.0):
-            raise BoxSpecError(
-                f"interval [{self.lo!r}, {self.hi!r}] is not inside [0, 1]"
-            )
-
-
-@dataclass(frozen=True)
 class BoxSpec:
-    """An axis-aligned box at one level: a product of per-coordinate intervals."""
+    """An axis-aligned box at one level: the product of [lo[i], hi[i]] over its coordinates.
+
+    ``open_upper`` holds the 1-based coordinates whose upper end is open, the
+    numbering of the grammar's ``open=``; every other end is closed.  This is
+    the one place a box is checked.
+    """
 
     level: int
-    intervals: tuple[Interval, ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    open_upper: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.level < 1:
             raise BoxSpecError(f"box level must be >= 1, got {self.level}")
-        if len(self.intervals) != self.level:
+        if len(self.lo) != self.level or len(self.hi) != self.level:
             raise BoxSpecError(
-                f"box at level {self.level} needs {self.level} intervals, "
-                f"got {len(self.intervals)}"
+                f"box at level {self.level} needs {self.level} intervals, got {len(self.lo)}"
             )
+        for lo, hi in zip(self.lo, self.hi):
+            if not (0.0 <= lo <= hi <= 1.0):
+                raise BoxSpecError(f"interval [{lo!r}, {hi!r}] is not inside [0, 1]")
+        for i in sorted(self.open_upper):
+            if not 1 <= i <= self.level:
+                raise BoxSpecError(f"open= index {i} outside 1..{self.level}")
 
 
 @dataclass(frozen=True)
@@ -111,15 +106,14 @@ class BoxUnion:
     @cached_property
     def _closed_bounds(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per level, the (boxes, level) arrays of closed float bounds (lows, highs): an open
-        end b moves one float inward, since on floats x < b exactly when x <= nextafter(b, -inf)."""
+        upper end b moves one float down, since on floats x < b exactly when x <= nextafter(b, -inf)."""
         out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in self.levels():
-            ivs = [b.intervals for b in self.boxes_at(k)]
+            boxes = self.boxes_at(k)
             out[k] = (
-                np.array([[iv.lo if iv.lo_closed else math.nextafter(iv.lo, math.inf)
-                           for iv in box] for box in ivs]),
-                np.array([[iv.hi if iv.hi_closed else math.nextafter(iv.hi, -math.inf)
-                           for iv in box] for box in ivs]))
+                np.array([b.lo for b in boxes]),
+                np.array([[math.nextafter(hi, -math.inf) if i in b.open_upper else hi
+                           for i, hi in enumerate(b.hi, start=1)] for b in boxes]))
         return out
 
 
@@ -151,25 +145,13 @@ def intersect_boxes(a: BoxSpec, b: BoxSpec) -> BoxSpec | None:
     """Intersection of two same-level boxes, or None when empty."""
     if a.level != b.level:
         raise ValueError("cannot intersect boxes at different levels")
-    out = []
-    for ia, ib in zip(a.intervals, b.intervals):
-        # the binding constraint on each side carries its closure flag along
-        if ia.lo > ib.lo:
-            lo, lo_closed = ia.lo, ia.lo_closed
-        elif ib.lo > ia.lo:
-            lo, lo_closed = ib.lo, ib.lo_closed
-        else:
-            lo, lo_closed = ia.lo, ia.lo_closed and ib.lo_closed
-        if ia.hi < ib.hi:
-            hi, hi_closed = ia.hi, ia.hi_closed
-        elif ib.hi < ia.hi:
-            hi, hi_closed = ib.hi, ib.hi_closed
-        else:
-            hi, hi_closed = ia.hi, ia.hi_closed and ib.hi_closed
-        if lo > hi:
-            return None
-        out.append(Interval(lo, hi, lo_closed, hi_closed))
-    return BoxSpec(a.level, tuple(out))
+    lo, hi = tuple(map(max, a.lo, b.lo)), tuple(map(min, a.hi, b.hi))
+    if any(x > y for x, y in zip(lo, hi)):
+        return None
+    # the binding upper end keeps its closure; a tie is open if either end is
+    open_upper = frozenset(i for x, y in ((a, b), (b, a)) for i in x.open_upper
+                           if x.hi[i - 1] <= y.hi[i - 1])
+    return BoxSpec(a.level, lo, hi, open_upper)
 
 
 def intensity(ws: WeightSequence, union: BoxUnion) -> float:
@@ -196,8 +178,8 @@ def intensity(ws: WeightSequence, union: BoxUnion) -> float:
         sign = np.full(2 ** len(boxes), -1.0)
         for j, b in enumerate(boxes):
             h = 2 ** j
-            np.maximum(lo[:h], [iv.lo for iv in b.intervals], out=lo[h:2 * h])
-            np.minimum(hi[:h], [iv.hi for iv in b.intervals], out=hi[h:2 * h])
+            np.maximum(lo[:h], b.lo, out=lo[h:2 * h])
+            np.minimum(hi[:h], b.hi, out=hi[h:2 * h])
             sign[h:2 * h] = -sign[:h]
         rows = np.flatnonzero((lo <= hi).all(axis=1))[1:]
         total += ws.theta(k) * math.fsum(sign[rows] * _wedge_volumes(lo[rows], hi[rows]))
@@ -324,60 +306,34 @@ def parse_boxes(text: str) -> BoxUnion:
     Grammar: semicolon-separated segments.  ``box:k=<level>`` opens a box,
     followed by ``<lo>,<hi>`` interval segments (one per coordinate) and an
     optional ``open=<i,j,...>`` segment marking which intervals (1-based)
-    are open at their upper endpoint.  An empty string denotes the empty
-    union.
+    are open at their upper endpoint; every other end is closed.  An empty
+    string denotes the empty union.
     """
-    segments = [s.strip() for s in text.split(";") if s.strip()]
-    boxes: list[BoxSpec] = []
-    level: int | None = None
-    intervals: list[tuple[float, float]] = []
-    open_upper: set[int] = set()
-
-    def flush() -> None:
-        nonlocal level, intervals, open_upper
-        if level is None:
-            return
-        if len(intervals) != level:
-            raise BoxSpecError(
-                f"box at level {level} has {len(intervals)} intervals, needs {level}"
-            )
-        if any(i < 1 or i > level for i in open_upper):
-            bad = next(i for i in open_upper if i < 1 or i > level)
-            raise BoxSpecError(f"open= index {bad} outside 1..{level}")
-        ivs = tuple(
-            Interval(lo, hi, hi_closed=(idx not in open_upper))
-            for idx, (lo, hi) in enumerate(intervals, start=1)
-        )
-        boxes.append(BoxSpec(level, ivs))
-        level, intervals, open_upper = None, [], set()
-
-    for seg in segments:
-        header = _BOX_HEADER.match(seg)
-        if header:
-            flush()
-            level = int(header.group(1))
-            if level < 1:
-                raise BoxSpecError(f"box level must be >= 1 in {seg!r}")
-            continue
-        if level is None:
+    groups: list[tuple[int, list[str]]] = []
+    for seg in filter(None, (s.strip() for s in text.split(";"))):
+        if header := _BOX_HEADER.match(seg):
+            groups.append((int(header.group(1)), []))
+        elif not groups:
             raise BoxSpecError(f"segment {seg!r} appears before any box:k= header")
-        open_m = _OPEN_DIRECTIVE.match(seg)
-        if open_m:
-            body = open_m.group(1)
+        else:
+            groups[-1][1].append(seg)
+    boxes = []
+    for level, segs in groups:
+        bounds, open_upper = [], frozenset()
+        for seg in segs:
+            if open_m := _OPEN_DIRECTIVE.match(seg):
+                try:
+                    open_upper = frozenset(int(s) for s in open_m.group(1).split(",") if s.strip())
+                except ValueError:
+                    raise BoxSpecError(f"open= list {open_m.group(1)!r} is not integers") from None
+                continue
+            parts = seg.split(",")
+            if len(parts) != 2:
+                raise BoxSpecError(f"interval segment {seg!r} is not '<lo>,<hi>'")
             try:
-                open_upper = {int(s) for s in body.split(",") if s.strip()}
+                bounds.append((float(parts[0]), float(parts[1])))
             except ValueError:
-                raise BoxSpecError(f"open= list {body!r} is not integers") from None
-            continue
-        parts = seg.split(",")
-        if len(parts) != 2:
-            raise BoxSpecError(f"interval segment {seg!r} is not '<lo>,<hi>'")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise BoxSpecError(f"interval segment {seg!r} is not numeric") from None
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise BoxSpecError(f"interval {seg!r} is not inside [0, 1]")
-        intervals.append((lo, hi))
-    flush()
+                raise BoxSpecError(f"interval segment {seg!r} is not numeric") from None
+        boxes.append(BoxSpec(level, tuple(b[0] for b in bounds), tuple(b[1] for b in bounds),
+                             open_upper))
     return BoxUnion(tuple(boxes))

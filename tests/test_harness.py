@@ -136,6 +136,16 @@ def test_config_rejects_mixture_draws_outside_cdf():
         _cfg(kind="avoidance", boxes="box:k=1;0,0.5", mixture_draws=100)
 
 
+def test_config_rejects_k_max_outside_counts():
+    with pytest.raises(ValueError, match="'k_max' is read by counts experiments only"):
+        _cfg(kind="cdf", statistic="m", k_max=3)
+
+
+def test_config_rejects_grid_points_outside_cdf():
+    with pytest.raises(ValueError, match="'grid_points' is read by cdf experiments only"):
+        _cfg(grid_points=50)
+
+
 def test_config_rejects_mixture_draws_for_a_law_without_a_mixture():
     with pytest.raises(ValueError, match="mixture_draws needs the delta or Delta law, not m"):
         _cfg(kind="cdf", statistic="m", mixture_draws=100)

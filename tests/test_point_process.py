@@ -18,7 +18,6 @@ from permcycles import (
     BoxSpec,
     BoxSpecError,
     BoxUnion,
-    Interval,
     PermutationSampler,
     PointMeasure,
     RngStream,
@@ -38,11 +37,8 @@ from permcycles.point_process import intersect_boxes, limit_block_counts
 
 
 def _box(level, *bounds, open_upper=()):
-    ivs = tuple(
-        Interval(lo, hi, hi_closed=(i + 1 not in open_upper))
-        for i, (lo, hi) in enumerate(bounds)
-    )
-    return BoxSpec(level, ivs)
+    return BoxSpec(level, tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds),
+                   frozenset(open_upper))
 
 
 def _reference_contains(box, point):
@@ -50,8 +46,8 @@ def _reference_contains(box, point):
     if len(point) != box.level or point[0] != min(point):
         return False
     return all(
-        (x >= iv.lo if iv.lo_closed else x > iv.lo) and (x <= iv.hi if iv.hi_closed else x < iv.hi)
-        for iv, x in zip(box.intervals, point)
+        lo <= x and (x < hi if i in box.open_upper else x <= hi)
+        for i, (lo, hi, x) in enumerate(zip(box.lo, box.hi, point), start=1)
     )
 
 
@@ -70,19 +66,18 @@ def _min_first(point):
 
 def _box_volume(box):
     """Wedge volume of one box: a one-row call of the kernel ``intensity`` uses."""
-    lo, hi = np.array([[(iv.lo, iv.hi) for iv in box.intervals]]).transpose(2, 0, 1)
-    return float(point_process._wedge_volumes(lo, hi)[0])
+    return float(point_process._wedge_volumes(np.array([box.lo]), np.array([box.hi]))[0])
 
 
 def _reference_box_volume(box):
     """The earlier polynomial-by-piece wedge volume, kept as a reference."""
-    iv = box.intervals
-    a1, b1 = iv[0].lo, iv[0].hi
+    a1, b1 = box.lo[0], box.hi[0]
     if box.level == 1:
         return b1 - a1
+    rest = list(zip(box.lo[1:], box.hi[1:]))
     cuts = {a1, b1}
-    for itv in iv[1:]:
-        for p in (itv.lo, itv.hi):
+    for itv in rest:
+        for p in itv:
             if a1 < p < b1:
                 cuts.add(p)
     pts = sorted(cuts)
@@ -92,14 +87,14 @@ def _reference_box_volume(box):
             continue
         poly = np.polynomial.Polynomial([1.0])
         dead = False
-        for itv in iv[1:]:
-            if lo >= itv.hi:
+        for itv_lo, itv_hi in rest:
+            if lo >= itv_hi:
                 dead = True
                 break
-            if hi <= itv.lo:
-                poly = poly * (itv.hi - itv.lo)
+            if hi <= itv_lo:
+                poly = poly * (itv_hi - itv_lo)
             else:
-                poly = poly * np.polynomial.Polynomial([itv.hi, -1.0])
+                poly = poly * np.polynomial.Polynomial([itv_hi, -1.0])
         if dead:
             continue
         anti = poly.integ()
@@ -199,24 +194,26 @@ def test_min_first_is_a_cyclic_rotation(values):
 
 
 def test_interval_validation_and_flags():
-    with pytest.raises(BoxSpecError):
-        Interval(0.5, 0.2)
-    with pytest.raises(BoxSpecError):
-        Interval(-0.1, 0.5)
-    with pytest.raises(BoxSpecError):
-        Interval(0.5, 1.2)
-    box = BoxSpec(1, (Interval(0.0, 0.5, hi_closed=False),))
+    for lo, hi in ((0.5, 0.2), (-0.1, 0.5), (0.5, 1.2), (0.0, math.nan)):
+        with pytest.raises(BoxSpecError, match="not inside"):
+            BoxSpec(1, (lo,), (hi,))
+    box = BoxSpec(1, (0.0,), (0.5,), frozenset({1}))
     assert _reference_contains(box, (0.0,))
     assert _reference_contains(box, (0.25,))
     assert not _reference_contains(box, (0.5,))
-    assert _reference_contains(BoxSpec(1, (Interval(0.0, 0.5),)), (0.5,))
+    assert _reference_contains(BoxSpec(1, (0.0,), (0.5,)), (0.5,))
 
 
 def test_box_spec_validation_and_membership():
-    with pytest.raises(BoxSpecError):
-        BoxSpec(0, ())
-    with pytest.raises(BoxSpecError):
-        BoxSpec(2, (Interval(0, 1),))
+    with pytest.raises(BoxSpecError, match=">= 1"):
+        BoxSpec(0, (), ())
+    with pytest.raises(BoxSpecError, match="needs 2"):
+        BoxSpec(2, (0.0,), (1.0,))
+    with pytest.raises(BoxSpecError, match="needs 2"):
+        BoxSpec(2, (0.0, 0.0), (1.0,))
+    for bad in (0, 3):
+        with pytest.raises(BoxSpecError, match=f"open= index {bad} outside"):
+            BoxSpec(2, (0.0, 0.0), (1.0, 1.0), frozenset({bad}))
     box = _box(2, (0.0, 1.0), (0.5, 1.0))
     assert _reference_contains(box, (0.25, 0.75))
     assert not _reference_contains(box, (0.75, 0.25))  # not smallest-first
@@ -229,13 +226,19 @@ def test_intersect_boxes():
     b = _box(1, (0.6, 1.0))
     assert intersect_boxes(a, b) is None
     c = intersect_boxes(_box(1, (0.0, 0.7)), _box(1, (0.4, 1.0)))
-    assert (c.intervals[0].lo, c.intervals[0].hi) == (0.4, 0.7)
+    assert (c.lo, c.hi, c.open_upper) == ((0.4,), (0.7,), frozenset())
     with pytest.raises(ValueError):
         intersect_boxes(a, _box(2, (0.0, 1.0), (0.0, 1.0)))
     # touching boxes intersect in a degenerate slab of volume zero
     d = intersect_boxes(_box(1, (0.0, 0.5)), _box(1, (0.5, 1.0)))
     assert d is not None
     assert _box_volume(d) == 0.0
+    # the binding upper end keeps its closure; a tie is open if either box is open there
+    e = intersect_boxes(_box(2, (0.0, 0.7), (0.0, 0.5), open_upper=(1, 2)),
+                        _box(2, (0.2, 0.6), (0.1, 0.5), open_upper=()))
+    assert (e.lo, e.hi, e.open_upper) == ((0.2, 0.1), (0.6, 0.5), frozenset({2}))
+    f = intersect_boxes(_box(1, (0.0, 0.5)), _box(1, (0.0, 0.5), open_upper=(1,)))
+    assert f.open_upper == frozenset({1})
 
 
 # ---------------------------------------------------------------- volumes
@@ -271,8 +274,8 @@ def test_box_volume_against_monte_carlo():
         pts = gen.random((n_mc, box.level))
         inside = np.ones(n_mc, dtype=bool)
         inside &= pts[:, 0] == pts.min(axis=1)
-        for i, iv in enumerate(box.intervals):
-            inside &= (pts[:, i] >= iv.lo) & (pts[:, i] <= iv.hi)
+        for i, (lo, hi) in enumerate(zip(box.lo, box.hi)):
+            inside &= (pts[:, i] >= lo) & (pts[:, i] <= hi)
         est = inside.mean()
         se = math.sqrt(max(vol * (1 - vol), 1e-12) / n_mc)
         assert abs(est - vol) < 4 * se
@@ -529,11 +532,9 @@ def test_count_in_matches_box_contains_with_open_endpoints():
         boxes = []
         for _ in range(rnd.randint(1, 4)):
             k = rnd.randint(1, 3)
-            ivs = []
-            for _ in range(k):
-                lo, hi = sorted(rnd.sample(grid, 2))
-                ivs.append(Interval(lo, hi, rnd.random() < 0.7, rnd.random() < 0.5))
-            boxes.append(BoxSpec(k, tuple(ivs)))
+            bounds = [sorted(rnd.sample(grid, 2)) for _ in range(k)]
+            open_upper = [i for i in range(1, k + 1) if rnd.random() < 0.5]
+            boxes.append(_box(k, *bounds, open_upper=open_upper))
         union = BoxUnion(tuple(boxes))
         # lattice points land on the endpoints; some are not smallest-first
         levels = {k: tuple(tuple(rnd.choice(grid) for _ in range(k)) for _ in range(8))
@@ -564,9 +565,12 @@ def test_parse_boxes_round_trip_semantics():
 def test_parse_boxes_open_directive():
     union = parse_boxes("box:k=2;0,0.5;0,0.5;open=1,2")
     box = union.boxes[0]
-    assert not box.intervals[0].hi_closed
-    assert not box.intervals[1].hi_closed
-    assert box.intervals[0].lo_closed
+    assert box.open_upper == frozenset({1, 2})
+    assert (box.lo, box.hi) == ((0.0, 0.0), (0.5, 0.5))
+    # every other end is closed
+    assert _union_contains(union, 2, (0.0, 0.0))
+    assert not _union_contains(union, 2, (0.25, 0.5))
+    assert parse_boxes("box:k=2;0,0.5;0,0.5").boxes[0].open_upper == frozenset()
 
 
 @pytest.mark.parametrize(
@@ -580,6 +584,7 @@ def test_parse_boxes_open_directive():
         ("box:k=0;", ">= 1"),
         ("box:k=1;0,0.5,1", "not '<lo>,<hi>'"),
         ("box:k=1;0,1;open=a", "not integers"),
+        ("box:k=1;0,1box:k=1;0,1", "not numeric"),
     ],
 )
 def test_parse_boxes_errors(text, fragment):
