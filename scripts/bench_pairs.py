@@ -7,7 +7,12 @@ benchmark once in each clone, on the same seed, alternating which side goes
 first.  Every JSON line the benchmark prints is kept raw, with its seed and
 its position in the pair.  Each side is named by its commit and a SHA-256 of
 its ``src/`` tree.  A summary gives each side's median and quartiles and how
-many pairs the change won, per workload and metric.  Each call appends one
+many pairs the change won, per workload and metric.  Each end-to-end
+metric also gets two verdicts against its ``bound`` in ``BENCHMARK.json``:
+``worse_beyond_bound``, when the change's median is worse than the parent's
+by more than the bound (relative), and ``unresolved``, when either side's
+quartile spread over its median exceeds the bound and not every change run
+beats every parent run, so the sets are too noisy to tell.  Each call appends one
 such set to ``--out``.  The run length is ``run_seconds`` of the change's
 ``BENCHMARK.json``, the same on both sides.
 
@@ -53,7 +58,23 @@ def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(runs: list, better: dict) -> dict:
+def quartiles(values: list) -> dict:
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+    return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
+
+
+def verdicts(parent: list, change: list, better: str, bound: float) -> dict:
+    """Whether the change is worse beyond ``bound``, and whether the runs are too spread to tell."""
+    sign = -1 if better == "lower" else 1
+    p, c = quartiles(parent), quartiles(change)
+    too_wide = any(q["q3"] - q["q1"] > bound * abs(q["median"]) for q in (p, c))
+    change_beats_all = all(sign * (x - y) > 0 for x in change for y in parent)
+    return {"worse_beyond_bound": sign * (p["median"] - c["median"]) > bound * abs(p["median"]),
+            "unresolved": too_wide and not change_beats_all}
+
+
+def summarize(runs: list, better: dict, bounds: dict) -> dict:
+    """Per workload and metric: medians, quartiles, pairs won, and verdicts where a bound is set."""
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
         sides = {s: [r for r in runs if r["workload"] == wl and r["side"] == s]
@@ -66,8 +87,9 @@ def summarize(runs: list, better: dict) -> dict:
             wins = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
             entry = {"pairs": len(vals["change"]), "change_wins": wins}
             for side, v in vals.items():
-                q = statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
-                entry[side] = {"median": statistics.median(v), "q1": q[0], "q3": q[2]}
+                entry[side] = quartiles(v)
+            if name in bounds:
+                entry.update(verdicts(vals["parent"], vals["change"], better[name], bounds[name]))
             per_metric[name] = entry
         out[wl] = per_metric
     return out
@@ -96,7 +118,8 @@ def run_pairs(args, clones: dict) -> dict:
                                        "result": result})
                 print(json.dumps(record["runs"][-1]), flush=True)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    record["summary"] = summarize(record["runs"], better)
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    record["summary"] = summarize(record["runs"], better, bounds)
     return record
 
 

@@ -40,13 +40,7 @@ from .limit_laws import (
     laplace_additive,
     laplace_k_cycle_sum,
     cdf_fixed_point_sum,
-    cdf_min_range,
-    cdf_max_range,
-    cdf_min_fixed_point,
-    cdf_max_fixed_point,
     sample_limit_spacings,
-    cdf_min_spacing,
-    cdf_max_spacing,
     limit_cdf,
     law_atoms,
 )

@@ -184,13 +184,15 @@ def _gamma_q(a: float, x: float) -> float:
     raise ArithmeticError(f"Q({a}, {x}) did not converge in {_MAX_TERMS} terms")
 
 
-def dkw_epsilon(n: int, alpha: float = 0.05) -> float:
-    """Half-width of the DKW confidence band for an n-sample empirical CDF."""
+# Miss probability of the DKW band: the report's dkw_epsilon_95 is its 95% level
+_DKW_ALPHA = 0.05
+
+
+def dkw_epsilon(n: int) -> float:
+    """Half-width of the 95% DKW confidence band for an n-sample empirical CDF."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+    return math.sqrt(math.log(2.0 / _DKW_ALPHA) / (2.0 * n))
 
 
 def pearson_correlation(a, b) -> float:

@@ -136,13 +136,19 @@ class PermutationSampler:
             starts.append(n - m)
             m -= k
 
-        # Cut a uniform arrangement of 1..n into consecutive blocks of the
-        # drawn lengths; each block is one cycle.
-        flat = (gen.permutation(n) + 1).tolist()
-        cycles = []
-        for a, b in zip(starts, starts[1:] + [n]):
-            block = flat[a:b]
-            i = block.index(min(block))
-            cycles.append(tuple(block[i:] + block[:i]))
-        cycles.sort()                      # minima are distinct: orders by minimum
-        return Permutation(n, tuple(cycles))
+        return Permutation(n, _cut((gen.permutation(n) + 1).tolist(), starts))
+
+
+def _cut(arrangement: list[int], starts: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Canonical cycles of an arrangement of 1..n cut into blocks at ``starts``.
+
+    Each block, from its start to the next one, read left to right is one
+    cycle.
+    """
+    cycles = []
+    for a, b in zip(starts, starts[1:] + [len(arrangement)]):
+        block = arrangement[a:b]
+        i = block.index(min(block))
+        cycles.append(tuple(block[i:] + block[:i]))
+    cycles.sort()                      # minima are distinct: orders by minimum
+    return tuple(cycles)

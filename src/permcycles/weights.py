@@ -68,18 +68,20 @@ class WeightSequence:
 
     @classmethod
     def ewens(cls, theta: float) -> "WeightSequence":
-        """theta_k = theta for every k; theta must be positive."""
+        """theta_k = theta for every k; theta must be positive and finite."""
         theta = float(theta)
-        if not theta > 0:
-            raise ValueError(f"ewens parameter must be positive, got {theta!r}")
+        if not 0 < theta < math.inf:
+            raise ValueError(f"ewens parameter must be positive and finite, got {theta!r}")
         return cls(f"ewens:{theta!r}", (), theta, 0.0)
 
     @classmethod
     def polynomial(cls, coeff: float, power: float) -> "WeightSequence":
-        """theta_k = coeff * k**power with coeff > 0."""
+        """theta_k = coeff * k**power with coeff > 0; both must be finite."""
         coeff, power = float(coeff), float(power)
-        if not coeff > 0:
-            raise ValueError(f"polynomial coefficient must be positive, got {coeff!r}")
+        if not 0 < coeff < math.inf:
+            raise ValueError(f"polynomial coefficient must be positive and finite, got {coeff!r}")
+        if not math.isfinite(power):
+            raise ValueError(f"polynomial power must be finite, got {power!r}")
         return cls(f"poly:{coeff!r},{power!r}", (), coeff, power)
 
     @classmethod
@@ -92,9 +94,9 @@ class WeightSequence:
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("explicit weight list must not be empty")
-        bad = [v for v in vals if not v >= 0]
+        bad = [v for v in vals if not 0 <= v < math.inf]
         if bad:
-            raise ValueError(f"explicit weights must be non-negative, got {bad[0]!r}")
+            raise ValueError(f"explicit weights must be finite and non-negative, got {bad[0]!r}")
         if tail not in ("const", "zero"):
             raise ValueError(f"unknown tail rule {tail!r}")
         body = ",".join(repr(v) for v in vals)

@@ -307,6 +307,19 @@ def test_limit_laplace_bad_t(capsys):
     assert code == 2 and "not numeric" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("cdf", "--law", "m", "--theta", "nan", "--grid", "0.5:0.5:0.1"),
+    ("cdf", "--law", "delta", "--theta", "nan", "--grid", "0.5:0.5:0.1"),
+    ("cdf", "--law", "S1", "--theta", "inf", "--grid", "0.5:0.5:0.1"),
+    ("laplace", "--theta", "nan", "--k", "1", "--t", "1"),
+], ids=["cdf-m-nan", "cdf-delta-nan", "cdf-S1-inf", "laplace-nan"])
+def test_limit_rejects_a_theta_that_is_not_finite(capsys, args):
+    # NaN slipped past a bare `theta < 0` test: these printed nan and exited 0
+    code, out, err = _run(capsys, "limit", *args)
+    assert code == 2 and out == ""
+    assert "finite and >= 0" in err
+
+
 # --------------------------------------------------------------- experiment
 
 

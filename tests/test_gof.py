@@ -190,15 +190,13 @@ def test_gamma_q_edges():
 
 
 def test_dkw_epsilon():
-    assert dkw_epsilon(10_000, 0.05) == pytest.approx(
+    assert dkw_epsilon(10_000) == pytest.approx(
         math.sqrt(math.log(40.0) / 20_000.0), rel=1e-14
     )
     # quadrupling the sample halves the band
-    assert dkw_epsilon(4 * 977, 0.1) == pytest.approx(dkw_epsilon(977, 0.1) / 2, rel=1e-12)
+    assert dkw_epsilon(4 * 977) == pytest.approx(dkw_epsilon(977) / 2, rel=1e-12)
     with pytest.raises(ValueError):
         dkw_epsilon(0)
-    with pytest.raises(ValueError):
-        dkw_epsilon(10, 1.5)
 
 
 def test_pearson_correlation():

@@ -20,12 +20,6 @@ from permcycles import (
     RngStream,
     WeightSequence,
     cdf_fixed_point_sum,
-    cdf_max_fixed_point,
-    cdf_max_range,
-    cdf_min_fixed_point,
-    cdf_min_range,
-    cdf_max_spacing,
-    cdf_min_spacing,
     ks_two_sample,
     laplace_additive,
     laplace_k_cycle_sum,
@@ -260,30 +254,30 @@ def test_cdf_fixed_point_sum_matches_exact_arithmetic(theta):
 
 
 def test_range_cdf_values():
-    assert cdf_min_range(0.5, 1.0, 2) == pytest.approx(0.31271072120902776, rel=1e-14)
-    assert cdf_max_range(0.5, 1.0, 2) == pytest.approx(0.8824969025845955, rel=1e-14)
-    assert cdf_min_range(-0.2, 1.0, 2) == 0.0
-    assert cdf_min_range(1.0, 1.0, 2) == 1.0
-    assert cdf_max_range(1.2, 1.0, 2) == 1.0
+    assert limit_cdf("minrange", 1.0, 2)(0.5) == pytest.approx(0.31271072120902776, rel=1e-14)
+    assert limit_cdf("maxrange", 1.0, 2)(0.5) == pytest.approx(0.8824969025845955, rel=1e-14)
+    assert limit_cdf("minrange", 1.0, 2)(-0.2) == 0.0
+    assert limit_cdf("minrange", 1.0, 2)(1.0) == 1.0
+    assert limit_cdf("maxrange", 1.0, 2)(1.2) == 1.0
     # atoms: no-k-cycle mass e^{-theta_k/k} sits at 1 for the min law and
     # at 0 for the max law
-    assert 1.0 - cdf_min_range(1.0 - 1e-12, 2.0, 2) == pytest.approx(
+    assert 1.0 - limit_cdf("minrange", 2.0, 2)(1.0 - 1e-12) == pytest.approx(
         math.exp(-1.0), abs=1e-9
     )
-    assert cdf_max_range(0.0, 2.0, 2) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert limit_cdf("maxrange", 2.0, 2)(0.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
     with pytest.raises(ValueError):
-        cdf_min_range(0.5, 1.0, 1)
+        limit_cdf("minrange", 1.0, 1)
     with pytest.raises(ValueError):
-        cdf_max_range(0.5, -1.0, 2)
+        limit_cdf("maxrange", -1.0, 2)
 
 
 def test_extreme_fixed_point_cdf_values():
-    assert cdf_min_fixed_point(0.5, 2.0) == pytest.approx(0.6321205588285577, rel=1e-14)
-    assert cdf_max_fixed_point(0.5, 2.0) == pytest.approx(0.36787944117144233, rel=1e-14)
-    assert cdf_min_fixed_point(-0.5, 1.0) == 0.0
-    assert cdf_min_fixed_point(1.0, 1.0) == 1.0
-    assert cdf_max_fixed_point(0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert 1.0 - cdf_min_fixed_point(1.0 - 1e-12, 1.0) == pytest.approx(
+    assert limit_cdf("m", 2.0)(0.5) == pytest.approx(0.6321205588285577, rel=1e-14)
+    assert limit_cdf("M", 2.0)(0.5) == pytest.approx(0.36787944117144233, rel=1e-14)
+    assert limit_cdf("m", 1.0)(-0.5) == 0.0
+    assert limit_cdf("m", 1.0)(1.0) == 1.0
+    assert limit_cdf("M", 1.0)(0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert 1.0 - limit_cdf("m", 1.0)(1.0 - 1e-12) == pytest.approx(
         math.exp(-1.0), abs=1e-9
     )
 
@@ -377,18 +371,20 @@ def test_sample_limit_spacings_batch_matches_scalar_law():
 
 def test_spacing_cdf_boundaries():
     for theta in (0.5, 1.0, 2.5):
-        for cdf in (cdf_min_spacing, cdf_max_spacing):
-            assert cdf(0.0, theta) == 0.0
-            assert cdf(-1.0, theta) == 0.0
-            assert cdf(1.0, theta) == 1.0
+        for law in ("delta", "Delta"):
+            cdf = limit_cdf(law, theta)
+            assert cdf(0.0) == 0.0
+            assert cdf(-1.0) == 0.0
+            assert cdf(1.0) == 1.0
             # just below the atom at 1 the CDF has paid out everything except
             # the nu = 0 mass
-            assert cdf(1.0 - 1e-9, theta) == pytest.approx(
+            assert cdf(1.0 - 1e-9) == pytest.approx(
                 1.0 - math.exp(-theta), abs=1e-6
             )
         grid = np.linspace(0.0, 1.0, 1000)
-        mins = [cdf_min_spacing(x, theta) for x in grid]
-        maxs = [cdf_max_spacing(x, theta) for x in grid]
+        min_cdf, max_cdf = limit_cdf("delta", theta), limit_cdf("Delta", theta)
+        mins = [min_cdf(x) for x in grid]
+        maxs = [max_cdf(x) for x in grid]
         assert all(b >= a - 1e-12 for a, b in zip(mins, mins[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(maxs, maxs[1:]))
         # the smallest spacing is stochastically below the largest
@@ -400,48 +396,41 @@ def test_spacing_cdfs_raise_when_poisson_terms_miss_mass(theta):
     # the mixture over r ~ Poisson(theta) stops at r = 500: at theta = 450
     # that leaves ~1% of the mass out, and at theta = 800 exp(-theta)
     # underflows so every term is 0; both must fail loudly, not report
-    for cdf in (cdf_min_spacing, cdf_max_spacing):
+    for law in ("delta", "Delta"):
         for x in (0.001, 0.5, 0.999):
             with pytest.raises(ValueError, match="mass"):
-                cdf(x, theta)
+                limit_cdf(law, theta)(x)
 
 
 def test_spacing_cdfs_return_just_below_the_raise():
-    # with eps = 1e-12 the terms r <= 500 cover the Poisson mass up to
+    # with a 1e-12 tail the terms r <= 500 cover the Poisson mass up to
     # theta ~ 359.5; at 355 both CDFs still return
     theta = 355.0
-    for cdf in (cdf_min_spacing, cdf_max_spacing):
-        assert cdf(0.5, theta) == pytest.approx(1.0, abs=1e-11)
-        assert cdf(0.999, theta) == pytest.approx(1.0, abs=1e-11)
-    assert cdf_min_spacing(1e-4, theta) == pytest.approx(
+    for law in ("delta", "Delta"):
+        cdf = limit_cdf(law, theta)
+        assert cdf(0.5) == pytest.approx(1.0, abs=1e-11)
+        assert cdf(0.999) == pytest.approx(1.0, abs=1e-11)
+    assert limit_cdf("delta", theta)(1e-4) == pytest.approx(
         1.0 - sum(math.exp(-theta + r * math.log(theta) - math.lgamma(r + 1))
                   * (1.0 - (r + 1) * 1e-4) ** r for r in range(501)), abs=1e-11)
     with pytest.raises(ValueError, match="mass"):
-        cdf_min_spacing(0.5, 360.0)
-
-
-def test_spacing_cdfs_accept_eps_zero():
-    # eps = 0 runs all 500 terms; the sum's rounding must not count as missed mass
-    for theta in (0.5, 2.5, 50.0):
-        for cdf in (cdf_min_spacing, cdf_max_spacing):
-            for x in (0.05, 0.5, 0.999):
-                assert cdf(x, theta, eps=0.0) == pytest.approx(cdf(x, theta), abs=1e-12)
+        limit_cdf("delta", 360.0)(0.5)
 
 
 @pytest.mark.parametrize("x,theta", [(0.005, 50.0), (0.01, 50.0), (0.005, 100.0)])
 def test_max_spacing_cdf_is_tiny_where_the_alternating_sum_cancels(x, theta):
     # the alternating sum lost every digit here (0.127, 1.1e-5 and 1.0 once
     # clamped); the exact values are 1.2e-224, 1.7e-76 and 9.1e-153
-    assert 0.0 <= cdf_max_spacing(x, theta) <= 1e-60
+    assert 0.0 <= limit_cdf("Delta", theta)(x) <= 1e-60
 
 
 def test_cdf_max_spacing_at_theta_50():
     # at x = 0.03 the alternating sum was 1.7e-12 off; at x = 0.05, where 1/x
     # is whole, a recursion started from the r = 0 indicator doubles the value
     for x in (0.03, 0.05):
-        got = cdf_max_spacing(x, 50.0)
+        got = limit_cdf("Delta", 50.0)(x)
         assert got == pytest.approx(_exact_mixture(_exact_max_spacing_cdf, x, 50.0), abs=1e-12)
-    assert cdf_max_spacing(0.05, 50.0) == pytest.approx(0.0056912589975, abs=1e-12)
+    assert limit_cdf("Delta", 50.0)(0.05) == pytest.approx(0.0056912589975, abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.5, 4.75, 50.0])
@@ -449,7 +438,7 @@ def test_cdf_max_spacing_matches_exact_arithmetic(theta):
     # 1/x is whole at all but x = 0.75; at x = 0.2, as at 0.05, rounding
     # gives 1 - 4x < x, where a start from the r = 0 indicator doubled the value
     for x in (0.0625, 0.125, 0.2, 0.25, 0.5, 0.75):
-        got = cdf_max_spacing(x, theta)
+        got = limit_cdf("Delta", theta)(x)
         assert got == pytest.approx(_exact_mixture(_exact_max_spacing_cdf, x, theta), abs=1e-12)
 
 
@@ -486,10 +475,11 @@ def test_spacing_cdfs_match_the_mixture():
     n_draws = 200_000
     mins, maxs = sample_limit_spacings(theta, RngStream(88, 0), size=n_draws)
     grid = np.linspace(0.01, 0.97, 50)
-    for samples, cdf in ((mins, cdf_min_spacing), (maxs, cdf_max_spacing)):
+    for samples, law in ((mins, "delta"), (maxs, "Delta")):
         samples = np.sort(samples)
+        cdf = limit_cdf(law, theta)
         for x in grid:
-            f = cdf(float(x), theta)
+            f = cdf(float(x))
             emp = np.searchsorted(samples, x, side="right") / n_draws
             se = math.sqrt(max(f * (1 - f), 1e-12) / n_draws)
             assert abs(emp - f) < 3 * se + 5e-4, (x, emp, f)
@@ -499,13 +489,6 @@ def test_spacing_cdfs_match_the_mixture():
 
 
 def test_limit_cdf_registry_matches_direct_functions():
-    assert limit_cdf("S1", 1.0)(0.75) == cdf_fixed_point_sum(0.75, 1.0)
-    assert limit_cdf("minrange", 1.0, 2)(0.5) == cdf_min_range(0.5, 1.0, 2)
-    assert limit_cdf("maxrange", 1.0, 2)(0.5) == cdf_max_range(0.5, 1.0, 2)
-    assert limit_cdf("m", 2.0)(0.5) == cdf_min_fixed_point(0.5, 2.0)
-    assert limit_cdf("M", 2.0)(0.5) == cdf_max_fixed_point(0.5, 2.0)
-    assert limit_cdf("delta", 1.0)(0.3) == cdf_min_spacing(0.3, 1.0)
-    assert limit_cdf("Delta", 1.0)(0.3) == cdf_max_spacing(0.3, 1.0)
     with pytest.raises(ValueError):
         limit_cdf("S2", 1.0)
     with pytest.raises(ValueError):
@@ -514,6 +497,25 @@ def test_limit_cdf_registry_matches_direct_functions():
         limit_cdf("m", 1.0, 3)
     with pytest.raises(ValueError, match="takes no cycle length"):
         law_atoms("S1", 1.0, 1)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.5])
+def test_theta_must_be_finite_and_non_negative(theta):
+    # NaN passes a bare `theta < 0` test and would print nan as a CDF value
+    for law in LAW_NAMES:
+        k = 2 if law in ("minrange", "maxrange") else None
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            limit_cdf(law, theta, k)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            law_atoms(law, theta, k)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        laplace_k_cycle_sum(theta, 1, 1.0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        poisson_count_pmf(theta, 1, 0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sample_limit_spacings(theta, RngStream(0, 0), size=10)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        cdf_fixed_point_sum(0.5, theta)
 
 
 def test_law_atoms():

@@ -1,5 +1,6 @@
 """The sequential cycle sampler and its exactness against the oracle."""
 
+import collections
 import itertools
 import math
 
@@ -143,6 +144,32 @@ def test_length_chain_gives_the_exact_cycle_type_law(ws):
         assert set(chain) == set(exact)
         for ctype, p in exact.items():
             assert abs(chain[ctype] - p) <= 1e-12, (n, ctype)
+
+
+def test_cut_reaches_each_permutation_of_the_cycle_type_equally_often():
+    # every composition of n <= 6 (block lengths k_1, k_2, ... in draw order)
+    # against all n! arrangements, 25 181 cases: each permutation of the
+    # composition's cycle type is hit prod_j k_j * prod_l c_l! times, and no
+    # other permutation at all
+    cases = 0
+    for n in range(1, 7):
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            starts = [0] + [i for i, cut in enumerate(cuts, start=1) if cut]
+            lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
+            hits = collections.Counter()
+            for arrangement in itertools.permutations(range(1, n + 1)):
+                cycles = sampler_module._cut(list(arrangement), starts)
+                assert from_cycles(n, cycles).cycles == cycles  # canonical and a partition
+                hits[cycles] += 1
+            multiplicity = collections.Counter(lengths)
+            ways = math.prod(lengths) * math.prod(math.factorial(c) for c in multiplicity.values())
+            class_size = math.factorial(n) // math.prod(
+                l ** c * math.factorial(c) for l, c in multiplicity.items())
+            assert all(sorted(map(len, cycles)) == sorted(lengths) for cycles in hits)
+            assert set(hits.values()) == {ways}
+            assert len(hits) == class_size
+            cases += math.factorial(n)
+    assert cases == 25_181
 
 
 # ------------------------------------------------------------------ sampler

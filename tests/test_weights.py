@@ -142,6 +142,11 @@ def test_a_constant_list_tail_is_the_ewens_weight(c):
         ("list:1,x", "'x'"),
         ("list:1,2;tail=linear", "linear"),
         ("ewens:-2", "-2"),
+        ("ewens:inf", "inf"),
+        ("poly:inf,1", "inf"),
+        ("list:1,inf", "inf"),
+        ("poly:1,nan", "nan"),
+        ("poly:1,inf", "inf"),
     ],
 )
 def test_parse_weights_errors_name_the_token(text, token):
