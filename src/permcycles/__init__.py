@@ -37,7 +37,6 @@ from .cycle_stats import (
 )
 from .limit_laws import (
     poisson_count_pmf,
-    laplace_additive,
     laplace_k_cycle_sum,
     cdf_fixed_point_sum,
     sample_limit_spacings,

@@ -378,6 +378,14 @@ def _map_chunks(tasks, workers: int) -> list:
     return records
 
 
+def _map_replicates(cfg: ExperimentConfig, kind: str, ws: WeightSequence,
+                    table: NormalizationTable, n: int, arg) -> list:
+    """Records of every replicate at size n, in replicate order, from ``kind`` chunk tasks."""
+    tasks = [(kind, ws, table, n, cfg.seed, arg, s, e)
+             for s, e in _chunk_bounds(cfg.replicates, cfg.workers)]
+    return _map_chunks(tasks, cfg.workers)
+
+
 def _metadata(ws: WeightSequence) -> dict:
     from . import __version__
 
@@ -431,11 +439,7 @@ def _counts(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable
     """Empirical k-cycle count pmfs against Poisson(theta_k / k) or the oracle."""
     n_rep = cfg.replicates
     for n in cfg.sizes:
-        tasks = [
-            ("counts", ws, table, n, cfg.seed, cfg.k_max, s, e)
-            for s, e in _chunk_bounds(n_rep, cfg.workers)
-        ]
-        records = _map_chunks(tasks, cfg.workers)
+        records = _map_replicates(cfg, "counts", ws, table, n, cfg.k_max)
         data = np.asarray(records, dtype=np.int64)
 
         per_count: dict[str, dict] = {}
@@ -515,11 +519,7 @@ def _avoidance(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTa
     }
 
     for n in cfg.sizes:
-        tasks = [
-            ("avoid", ws, table, n, cfg.seed, cfg.boxes, s, e)
-            for s, e in _chunk_bounds(n_rep, cfg.workers)
-        ]
-        counts = np.asarray(_map_chunks(tasks, cfg.workers), dtype=np.int64)
+        counts = np.asarray(_map_replicates(cfg, "avoid", ws, table, n, cfg.boxes), dtype=np.int64)
         p_hat = float(np.mean(counts == 0))
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_rep)
         results = {
@@ -569,11 +569,7 @@ def _cdf(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable):
         ref = mins if law == "delta" else maxs
 
     for n in cfg.sizes:
-        tasks = [
-            ("stat", ws, table, n, cfg.seed, cfg.statistic, s, e)
-            for s, e in _chunk_bounds(n_rep, cfg.workers)
-        ]
-        samples = np.asarray(_map_chunks(tasks, cfg.workers), dtype=float)
+        samples = np.asarray(_map_replicates(cfg, "stat", ws, table, n, cfg.statistic), dtype=float)
 
         hi = hi_law
         if hi is None:

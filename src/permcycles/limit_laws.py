@@ -3,7 +3,7 @@
 As n grows, the k-cycle counts become independent Poisson(theta_k / k)
 variables, and the scaled statistics of the cycle point measure converge to
 laws of the limiting Poisson process.  This module evaluates those laws:
-Laplace transforms of additive statistics, the CDF of the scaled
+the Laplace transform of the scaled k-cycle sum, the CDF of the scaled
 fixed-point sum, the range and extreme CDFs, and the spacing laws of the
 limiting fixed-point configuration.  The fixed-point sum and the spacing
 laws are Poisson(theta1) mixtures over the number of level-1 points; given
@@ -18,16 +18,14 @@ separately from the continuous part.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .rng import RngStream
-from .weights import WeightSequence
 
 __all__ = [
     "poisson_count_pmf",
-    "laplace_additive",
     "laplace_k_cycle_sum",
     "cdf_fixed_point_sum",
     "sample_limit_spacings",
@@ -64,83 +62,8 @@ def _poisson_count_pmfs(theta_k: float, k: int, counts) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Laplace transforms of additive statistics
+# Laplace transform of the scaled k-cycle sum
 # ---------------------------------------------------------------------------
-
-# coarse midpoint grid points per axis at level m; about 2**(16/m) past the table
-_BASE_POINTS = {1: 2048, 2: 256, 3: 64, 4: 32}
-_CHUNK = 1 << 16
-
-
-def _cube_integral(f, m: int, t: float, npts: int, symmetric: bool) -> float:
-    """Midpoint-rule integral of (1 - exp(-t f)) over the level-m wedge.
-
-    For symmetric f the wedge integral is 1/m of the cube integral; the
-    general path keeps only grid points whose first coordinate is minimal.
-    Evaluation is chunked so the full product grid never materializes.
-    """
-    grid = (np.arange(npts) + 0.5) / npts
-    total_pts = npts ** m
-    weight = 1.0 / total_pts
-    acc = 0.0
-    for start in range(0, total_pts, _CHUNK):
-        stop = min(start + _CHUNK, total_pts)
-        idx = np.arange(start, stop, dtype=np.int64)
-        pts = np.empty((stop - start, m))
-        rem = idx
-        for axis in range(m - 1, -1, -1):
-            rem, coord = np.divmod(rem, npts)
-            pts[:, axis] = grid[coord]
-        vals = np.asarray(f(pts), dtype=float)
-        contrib = -np.expm1(-t * vals)
-        if not symmetric:
-            mask = pts[:, 0] <= pts.min(axis=1)
-            contrib = contrib * mask
-        acc += float(np.sum(contrib)) * weight
-    if symmetric:
-        acc /= m
-    return acc
-
-
-def laplace_additive(
-    ws: WeightSequence,
-    functions: Mapping[int, Callable[[np.ndarray], np.ndarray]],
-    t: float,
-    *,
-    symmetric: bool = True,
-) -> float:
-    """Laplace transform at t of the limiting additive statistic.
-
-    ``functions`` maps a level m to a vectorized callable taking an (N, m)
-    array of points and returning N non-negative values f_m.  The transform
-    of sum_m sum_{points x at level m} f_m(x) under the limiting process is
-
-        exp( - sum_m theta_m * I_m ),
-        I_m = integral over the level-m wedge of (1 - exp(-t f_m(x))) dx.
-
-    Each I_m is evaluated by a tensor midpoint rule with one Richardson
-    extrapolation step (coarse and doubled grids combined as
-    (4 I_fine - I_coarse) / 3).  ``symmetric=True`` asserts that every f_m
-    is invariant under coordinate permutations, in which case the wedge
-    integral is exactly 1/m of the cube integral; the non-symmetric path
-    restricts the cube grid to the wedge instead and converges more slowly.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return 1.0
-    exponent = 0.0
-    for m in sorted(functions):
-        theta = ws.theta(m)
-        if theta == 0.0:
-            continue
-        f = functions[m]
-        base = _BASE_POINTS.get(m, max(6, int(round(2.0 ** (16.0 / m)))))
-        coarse = _cube_integral(f, m, t, base, symmetric)
-        fine = _cube_integral(f, m, t, 2 * base, symmetric)
-        exponent += theta * ((4.0 * fine - coarse) / 3.0)
-    return math.exp(-exponent)
-
 
 def laplace_k_cycle_sum(theta_k: float, k: int, t: float) -> float:
     """Laplace transform of the limiting scaled sum over k-cycles.
@@ -155,7 +78,7 @@ def laplace_k_cycle_sum(theta_k: float, k: int, t: float) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_theta(theta_k)
-    if t < 0:
+    if not t >= 0:  # NaN fails every comparison; t = inf leaves the atom e^{-theta_k / k}
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 1.0

@@ -307,6 +307,12 @@ def test_limit_laplace_bad_t(capsys):
     assert code == 2 and "not numeric" in err
 
 
+def test_limit_laplace_rejects_a_nan_t(capsys):
+    code, out, err = _run(capsys, "limit", "laplace", "--theta", "1", "--k", "1", "--t", "nan")
+    assert code == 2 and out == ""
+    assert "t must be >= 0" in err
+
+
 @pytest.mark.parametrize("args", [
     ("cdf", "--law", "m", "--theta", "nan", "--grid", "0.5:0.5:0.1"),
     ("cdf", "--law", "delta", "--theta", "nan", "--grid", "0.5:0.5:0.1"),

@@ -18,10 +18,8 @@ from scipy.integrate import quad
 
 from permcycles import (
     RngStream,
-    WeightSequence,
     cdf_fixed_point_sum,
     ks_two_sample,
-    laplace_additive,
     laplace_k_cycle_sum,
     law_atoms,
     limit_cdf,
@@ -76,60 +74,42 @@ def test_laplace_k_cycle_sum_basics():
         laplace_k_cycle_sum(1.0, 1, -0.5)
 
 
-def _coord_sum(pts: np.ndarray) -> np.ndarray:
-    return pts.sum(axis=1)
+def test_laplace_k_cycle_sum_at_infinite_t_is_the_atom():
+    # only the event of no k-cycle keeps e^{-t S} from 0: mass e^{-theta_k / k}
+    assert laplace_k_cycle_sum(1.5, 3, math.inf) == math.exp(-0.5)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        laplace_k_cycle_sum(1.5, 3, math.nan)
+
+
+# midpoint grid points per axis of the coarse rule at level k
+_GRID = {1: 2048, 2: 256, 3: 64, 4: 32}
+
+
+def _laplace_additive(theta: float, k: int, t: float) -> float:
+    """exp(-theta I), I the level-k wedge integral of 1 - e^{-t sum(x)}, by quadrature.
+
+    The integrand is symmetric, so I is 1/k of the integral over [0, 1]^k:
+    a midpoint rule on the ``_GRID`` grid and on one twice as fine, combined
+    by one Richardson step, (4 I_fine - I_coarse) / 3.
+    """
+    def cube(npts: int) -> float:
+        grid = (np.arange(npts) + 0.5) / npts
+        head = np.zeros(1)  # every sum of the first k - 1 coordinates
+        for _ in range(k - 1):
+            head = (head[:, None] + grid).ravel()
+        return math.fsum(np.sum(-np.expm1(-t * (head + x))) for x in grid) / npts ** k
+
+    return math.exp(-theta * (4.0 * cube(2 * _GRID[k]) - cube(_GRID[k])) / (3.0 * k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_laplace_additive_matches_closed_form(k, t):
-    ws = WeightSequence.ewens(1.3)
-    got = laplace_additive(ws, {k: _coord_sum}, t)
-    want = laplace_k_cycle_sum(1.3, k, t)
-    assert got == pytest.approx(want, abs=1e-6)
+    assert _laplace_additive(1.3, k, t) == pytest.approx(laplace_k_cycle_sum(1.3, k, t), abs=1e-6)
 
 
 def test_laplace_additive_matches_closed_form_k4():
-    got = laplace_additive(WeightSequence.uniform(), {4: _coord_sum}, 1.0)
-    assert got == pytest.approx(laplace_k_cycle_sum(1.0, 4, 1.0), abs=1e-6)
-
-
-def test_laplace_additive_multi_level_factorizes():
-    ws = WeightSequence.ewens(0.8)
-    t = 1.5
-    both = laplace_additive(ws, {1: _coord_sum, 2: _coord_sum}, t)
-    split = laplace_additive(ws, {1: _coord_sum}, t) * laplace_additive(
-        ws, {2: _coord_sum}, t
-    )
-    assert both == pytest.approx(split, rel=1e-12)
-
-
-def test_laplace_additive_t_zero_and_zero_weight():
-    assert laplace_additive(WeightSequence.uniform(), {2: _coord_sum}, 0.0) == 1.0
-    ws = WeightSequence.explicit((0.0, 1.0))
-    # level-1 term drops out since theta_1 = 0
-    got = laplace_additive(ws, {1: _coord_sum, 2: _coord_sum}, 1.0)
-    assert got == pytest.approx(laplace_additive(ws, {2: _coord_sum}, 1.0), rel=1e-12)
-
-
-def test_laplace_additive_non_symmetric_path():
-    # f(x1, x2) = x2 on the level-2 wedge; exact exponent is
-    # integral_0^1 x (1 - e^{-t x}) dx = 1/2 - (1 - e^{-t}(1 + t)) / t^2
-    t = 1.0
-    exact = 0.5 - (1.0 - math.exp(-t) * (1.0 + t)) / t**2
-    got = laplace_additive(
-        WeightSequence.uniform(),
-        {2: lambda pts: pts[:, 1]},
-        t,
-        symmetric=False,
-    )
-    assert got == pytest.approx(math.exp(-exact), abs=5e-3)
-    # the symmetric reduction and the masked path agree on symmetric f
-    sym = laplace_additive(WeightSequence.uniform(), {2: _coord_sum}, t)
-    masked = laplace_additive(
-        WeightSequence.uniform(), {2: _coord_sum}, t, symmetric=False
-    )
-    assert masked == pytest.approx(sym, abs=5e-3)
+    assert _laplace_additive(1.0, 4, 1.0) == pytest.approx(laplace_k_cycle_sum(1.0, 4, 1.0), abs=1e-6)
 
 
 # ------------------------------------------------ scaled fixed-point sum CDF
