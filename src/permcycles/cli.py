@@ -174,6 +174,9 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, s = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"grid {text!r} is not numeric") from None
+    for name, v in (("start", a), ("stop", b), ("step", s)):
+        if not np.isfinite(v):
+            raise ValueError(f"grid {text!r} has a {name} that is not finite")
     if s <= 0 or b < a:
         raise ValueError(f"grid {text!r} needs start <= stop and step > 0")
     return np.arange(a, b + s / 2.0, s)
@@ -224,6 +227,7 @@ def main(argv=None) -> int:
         DegenerateModelError,
         ValueError,
         OSError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

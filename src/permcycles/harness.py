@@ -55,7 +55,7 @@ from .limit_laws import (
     limit_cdf,
     sample_limit_spacings,
 )
-from .oracle import exact_statistic_distribution
+from .oracle import MAX_ENUM_N, exact_statistic_distribution
 # point_measure, count_in and simulate_limit_process have no caller here; they stay
 # bound on this module because perfbench/tracing.py wraps them by these names.
 from .point_process import (
@@ -96,28 +96,11 @@ LIMIT_STREAM_VERSION = (
     "block's Poisson counts, then its uniforms in draw order (v2)"
 )
 
-_KINDS = ("counts", "avoidance", "cdf")
-_COMPARE = ("limit", "oracle")
-# keys only one kind reads; any other kind must leave them at their defaults
-_KIND_KEYS = {
-    "statistic": "cdf",
-    "mixture_draws": "cdf",
-    "boxes": "avoidance",
-    "limit_draws": "avoidance",
-    "compare": "counts",
-    "k_max": "counts",
-    "grid_points": "cdf",
-}
-_INT_FIELDS = {
-    "n",
-    "replicates",
-    "seed",
-    "workers",
-    "k_max",
-    "grid_points",
-    "mixture_draws",
-    "limit_draws",
-}
+
+def _key(default=dataclasses.MISSING, *, kind="", choices=(), least=None):
+    """A config field with its rules: the one kind that reads it (any other kind
+    must leave it at its default), its allowed values, and an integer's least value."""
+    return field(default=default, metadata={"kind": kind, "choices": choices, "least": least})
 
 
 @dataclass
@@ -127,48 +110,38 @@ class ExperimentConfig:
     ``n`` is one size or a strictly increasing tuple of sizes (a sweep).
     """
 
-    kind: str
-    weights: str
-    n: int | tuple[int, ...]
-    replicates: int
-    seed: int = 0
-    workers: int = 1
-    k_max: int = 6
-    statistic: str = ""
-    boxes: str = ""
-    compare: str = "limit"
-    grid_points: int = 200
-    mixture_draws: int = 0
-    limit_draws: int = 0
+    kind: str = _key(choices=("counts", "avoidance", "cdf"))
+    weights: str = _key()
+    n: int | tuple[int, ...] = _key(least=1)
+    replicates: int = _key(least=1)
+    seed: int = _key(0, least=0)
+    workers: int = _key(1, least=1)
+    k_max: int = _key(6, kind="counts", least=1)
+    statistic: str = _key("", kind="cdf")
+    boxes: str = _key("", kind="avoidance")
+    compare: str = _key("limit", kind="counts", choices=("limit", "oracle"))
+    grid_points: int = _key(200, kind="cdf", least=10)
+    mixture_draws: int = _key(0, kind="cdf", least=0)
+    limit_draws: int = _key(0, kind="avoidance", least=0)
 
     def __post_init__(self) -> None:
         if isinstance(self.n, (tuple, list)):
             self.n = self.n[0] if len(self.n) == 1 else tuple(self.n)
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; known: {_KINDS}")
-        if self.compare not in _COMPARE:
-            raise ValueError(f"unknown compare mode {self.compare!r}; known: {_COMPARE}")
-        if min(self.sizes, default=0) < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        for f in dataclasses.fields(self):
+            key, value, rule = f.name, getattr(self, f.name), f.metadata
+            if rule["choices"] and value not in rule["choices"]:
+                raise ValueError(f"config key {key!r} must be one of {rule['choices']}, got {value!r}")
+            low = min(value, default=0) if isinstance(value, tuple) else value
+            if rule["least"] is not None and low < rule["least"]:
+                raise ValueError(f"{key} must be >= {rule['least']}, got {value}")
+            if rule["kind"] and self.kind != rule["kind"] and value != f.default:
+                raise ValueError(f"config key {key!r} is read by {rule['kind']} experiments only, "
+                                 f"not by {self.kind}")
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"the sizes of a sweep must increase strictly, got {self.n}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.grid_points < 10:
-            raise ValueError(f"grid_points must be >= 10, got {self.grid_points}")
-        if self.mixture_draws < 0 or self.limit_draws < 0:
-            raise ValueError("draw counts must be >= 0")
-        defaults = {f.name: f.default for f in dataclasses.fields(self)}
-        for key, kind in _KIND_KEYS.items():
-            if self.kind != kind and getattr(self, key) != defaults[key]:
-                raise ValueError(f"config key {key!r} is read by {kind} experiments only, "
-                                 f"not by {self.kind}")
+        if self.compare == "oracle" and self.sizes[-1] > MAX_ENUM_N:
+            raise ValueError(f"compare = oracle enumerates S_n, so it needs n <= {MAX_ENUM_N}, "
+                             f"got {self.n}")
         ws = parse_weights(self.weights)  # fail early on a bad spec
         if self.kind == "cdf":
             if not self.statistic:
@@ -190,9 +163,10 @@ class ExperimentConfig:
         unknown = sorted(set(mapping) - known)
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
+        ints = {f.name for f in dataclasses.fields(cls) if f.metadata["least"] is not None}
         kwargs = {}
         for key, value in mapping.items():
-            if key in _INT_FIELDS and isinstance(value, str):
+            if key in ints and isinstance(value, str):
                 try:
                     value = tuple(map(int, value.split(","))) if key == "n" else int(value)
                 except ValueError:
@@ -203,6 +177,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         mapping: dict[str, str] = {}
+        first_line: dict[str, int] = {}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -210,8 +185,12 @@ class ExperimentConfig:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                mapping[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key in first_line:
+                    raise ValueError(f"{path}:{lineno}: key {key!r} was already set on line "
+                                     f"{first_line[key]}")
+                first_line[key] = lineno
+                mapping[key] = value
         return cls.from_mapping(mapping)
 
     def echo(self) -> dict:

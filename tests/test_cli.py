@@ -269,6 +269,23 @@ def test_limit_cdf_bad_grid(capsys):
     assert "start:stop:step" in err
 
 
+@pytest.mark.parametrize("grid, name", [
+    ("nan:1:0.5", "start"), ("0:inf:1", "stop"), ("0:1:nan", "step"),
+])
+def test_limit_cdf_rejects_a_grid_that_is_not_finite(capsys, grid, name):
+    code, out, err = _run(capsys, "limit", "cdf", "--law", "m", "--theta", "1", "--grid", grid)
+    assert code == 2 and out == ""
+    assert f"has a {name} that is not finite" in err
+
+
+def test_limit_cdf_reports_a_grid_too_large_to_hold(capsys):
+    # 10^15 points: numpy refuses the allocation at once, before touching any memory
+    code, out, err = _run(capsys, "limit", "cdf", "--law", "m", "--theta", "1",
+                          "--grid", "0:1e12:1e-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_limit_cdf_unknown_law_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["limit", "cdf", "--law", "cauchy", "--theta", "1", "--grid", "0:1:0.5"])

@@ -156,6 +156,32 @@ def test_config_rejects_the_oracle_outside_counts():
         _cfg(kind="cdf", statistic="M", compare="oracle")
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(kind="cdf", statistic="m", grid_points=9), "grid_points"),
+    (dict(kind="cdf", statistic="delta", mixture_draws=-1), "mixture_draws"),
+    (dict(kind="avoidance", boxes="box:k=1;0,0.5", limit_draws=-1), "limit_draws"),
+], ids=["grid_points", "mixture_draws", "limit_draws"])
+def test_config_names_an_integer_key_below_its_least_value(kwargs, key):
+    with pytest.raises(ValueError, match=f"{key} must be >= "):
+        _cfg(**kwargs)
+
+
+def test_config_rejects_the_oracle_beyond_its_enumeration_bound():
+    with pytest.raises(ValueError, match=f"n <= {oracle.MAX_ENUM_N}"):
+        _cfg(n=20000, k_max=2, compare="oracle")
+    with pytest.raises(ValueError, match=f"n <= {oracle.MAX_ENUM_N}"):
+        _cfg(n=(5, oracle.MAX_ENUM_N + 1), compare="oracle")
+    assert _cfg(n=(5, oracle.MAX_ENUM_N), compare="oracle").sizes[-1] == oracle.MAX_ENUM_N
+
+
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("kind = counts\nweights = uniform\nn = 5\nn = 7\n"
+                    "replicates = 10\nreplicates = 20\n")
+    with pytest.raises(ValueError, match=r":4: key 'n' was already set on line 3"):
+        ExperimentConfig.from_file(path)
+
+
 def test_config_echo_hides_workers():
     echo = _cfg(workers=8).echo()
     assert "workers" not in echo
