@@ -19,7 +19,6 @@ from .sampler import (
 from .point_process import (
     BoxSpec,
     BoxUnion,
-    PointMeasure,
     parse_boxes,
     intensity,
     avoidance_limit,

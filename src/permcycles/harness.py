@@ -90,6 +90,7 @@ _LANE_MIXTURE = 2
 _LIMIT_BLOCK = 4096  # limit-process draws per stream
 _HELD_VALUES = 1 << 16  # cycle entries an avoid chunk holds before counting them
 _TAIL_EPS = 1e-12  # Poisson mass a counts run's theory table may leave above its last cell
+_MAX_PMF_CELLS = 1 << 21  # longest Poisson table a counts run builds (~0.3 GB at its peak)
 # Names how the limit simulation consumes randomness; reports carry it in their metadata.
 LIMIT_STREAM_VERSION = (
     f"one stream per {_LIMIT_BLOCK}-draw block keyed (seed, 1, block); per level the "
@@ -397,6 +398,9 @@ def _poisson_pmf_dict(theta_k: float, k: int) -> dict[int, float]:
     if not math.isfinite(mean):
         raise ValueError(f"Poisson mean {mean!r} for {k}-cycles is not finite")
     j_top = math.ceil(mean + 10.0 * math.sqrt(mean)) + 40
+    if j_top >= _MAX_PMF_CELLS:
+        raise ValueError(f"Poisson({mean!r}) pmf for {k}-cycles needs {j_top + 1} cells, "
+                         f"more than the {_MAX_PMF_CELLS} a counts run tabulates")
     terms = _poisson_count_pmfs(theta_k, k, range(j_top + 1))
     total = math.fsum(terms)
     if abs(total - 1.0) > 1e-6:
@@ -417,6 +421,9 @@ def _poisson_pmf_dict(theta_k: float, k: int) -> dict[int, float]:
 def _counts(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable):
     """Empirical k-cycle count pmfs against Poisson(theta_k / k) or the oracle."""
     n_rep = cfg.replicates
+    # the limit tables do not depend on n, and a mean too large to tabulate fails before any draw
+    limit = {} if cfg.compare == "oracle" else {
+        k: _poisson_pmf_dict(ws.theta(k), k) for k in range(1, cfg.k_max + 1)}
     for n in cfg.sizes:
         records = _map_replicates(cfg, "counts", ws, table, n, cfg.k_max)
         data = np.asarray(records, dtype=np.int64)
@@ -429,7 +436,7 @@ def _counts(cfg: ExperimentConfig, ws: WeightSequence, table: NormalizationTable
                 theory = {int(v): float(p) for v, p in zip(dist.support, dist.probabilities)}
                 theory_mean = dist.mean()
             else:
-                theory = _poisson_pmf_dict(ws.theta(k), k)
+                theory = limit[k]
                 theory_mean = ws.theta(k) / k
             j_hi = max(int(col.max()), max(theory))
             observed = np.bincount(col, minlength=j_hi + 1).tolist() + [0]

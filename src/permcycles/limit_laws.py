@@ -109,7 +109,7 @@ def _poisson_terms(theta1: float):
         raise ValueError(f"Poisson({theta1!r}) terms r <= 500 miss {1.0 - cum:.3g} of the mass")
 
 
-def _fixed_point_sum(x: float, theta1: float) -> float:
+def _fixed_point_sum(x: float, terms: list) -> float:
     """CDF of the limiting scaled sum of fixed points.
 
     The law is compound Poisson: a Poisson(theta1) number r of independent
@@ -120,9 +120,9 @@ def _fixed_point_sum(x: float, theta1: float) -> float:
         F_r(y) = (y F_{r-1}(y) + (r - y) F_{r-1}(y - 1)) / r,  F_0(y) = 1{y >= 0},
 
     run on one row y = x, x - 1, ... with y clipped to r, so both weights
-    are non-negative and nothing cancels.
+    are non-negative and nothing cancels.  ``terms`` are the (r, pois(r))
+    of ``_poisson_terms(theta1)``.
     """
-    terms = list(_poisson_terms(theta1))
     # F_r(x - j) needs F_{r-1} at j and j + 1, so F_R(x) needs j <= R; F_0 is 0 past j = x
     y = x - np.arange(int(min(x, terms[-1][0])) + 2)
     row = (y >= 0).astype(float)
@@ -176,7 +176,7 @@ def _max_fixed_point(x: float, theta1: float) -> float:
     return math.exp(theta1 * (x - 1.0))
 
 
-def _min_spacing(x: float, theta1: float) -> float:
+def _min_spacing(x: float, terms: list) -> float:
     """CDF of the limiting smallest fixed-point spacing.
 
     Conditional on r fixed points, the smallest of the r + 1 uniform
@@ -188,14 +188,14 @@ def _min_spacing(x: float, theta1: float) -> float:
     The r = 0 case is the deterministic spacing 1, producing the atom at 1.
     """
     survival = 0.0
-    for r, pmf in _poisson_terms(theta1):
+    for r, pmf in terms:
         base = 1.0 - (r + 1) * x
         if base > 0.0:
             survival += pmf * base ** r
     return 1.0 - survival
 
 
-def _max_spacing(x: float, theta1: float) -> float:
+def _max_spacing(x: float, terms: list) -> float:
     """CDF of the limiting largest fixed-point spacing.
 
     Conditional on r fixed points the r + 1 uniform spacings all stay below
@@ -211,7 +211,6 @@ def _max_spacing(x: float, theta1: float) -> float:
     the knots of the r = 0 indicator 1{0 <= 1/x - j < 1} fall on row indices
     when 1/x is whole, and rounding can then count one index too many.
     """
-    terms = list(_poisson_terms(theta1))
     j = np.arange(terms[-1][0] + 1)
     left = 1.0 - j * x
     row = np.maximum(0.0, np.minimum(left, (j + 2) * x - 1.0))
@@ -260,16 +259,17 @@ class _Law(NamedTuple):
     takes_k: bool
     atom: float  # where the one atom sits; its mass is exp(-theta / k), k = 1 if none taken
     upper: float | None  # upper end of the support, whose lower end is 0; None: unbounded
+    mixes: bool = False  # a Poisson(theta) mixture: F(x, terms), terms from _poisson_terms(theta)
 
 
 _LAWS = {
-    "S1": _Law(_fixed_point_sum, False, 0.0, None),
+    "S1": _Law(_fixed_point_sum, False, 0.0, None, mixes=True),
     "minrange": _Law(_min_range, True, 1.0, 1.0),
     "maxrange": _Law(_max_range, True, 0.0, 1.0),
     "m": _Law(_min_fixed_point, False, 1.0, 1.0),
     "M": _Law(_max_fixed_point, False, 0.0, 1.0),
-    "delta": _Law(_min_spacing, False, 1.0, 1.0),
-    "Delta": _Law(_max_spacing, False, 1.0, 1.0),
+    "delta": _Law(_min_spacing, False, 1.0, 1.0, mixes=True),
+    "Delta": _Law(_max_spacing, False, 1.0, 1.0, mixes=True),
 }
 LAW_NAMES = tuple(_LAWS)
 
@@ -298,11 +298,13 @@ def limit_cdf(law: str, theta: float, k: int | None = None) -> Callable[[float],
     ``theta`` is the weight at the relevant cycle length: theta_k for the
     range laws, theta_1 for all the fixed-point laws; it must be finite and
     >= 0.  The callable is 0 below 0, the atom at 0 (if any) at 0, 1 from
-    the upper end of the support on, and the law's formula in between.
+    the upper end of the support on, and the law's formula in between.  A
+    mixture law builds its Poisson terms here, so a theta they cannot cover
+    raises before any x is asked for.
     """
     k = _law_k(law, theta, k)
-    formula, takes_k, atom, upper = _LAWS[law]
-    args = (theta, k) if takes_k else (theta,)
+    formula, takes_k, atom, upper, mixes = _LAWS[law]
+    args = (list(_poisson_terms(theta)),) if mixes else (theta, k) if takes_k else (theta,)
     at_zero = math.exp(-theta / k) if atom == 0.0 else 0.0
 
     def cdf(x: float) -> float:

@@ -44,8 +44,7 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > MAX_ENUM_N:
         raise EnumerationLimitError(
-            f"full enumeration of S_{n} ({math.factorial(n)} permutations) "
-            f"exceeds the n <= {MAX_ENUM_N} bound"
+            f"full enumeration of S_{n} exceeds the n <= {MAX_ENUM_N} bound"
         )
 
 

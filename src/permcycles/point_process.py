@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +28,6 @@ from .weights import WeightSequence
 __all__ = [
     "BoxSpec",
     "BoxUnion",
-    "PointMeasure",
     "BoxSpecError",
     "parse_boxes",
     "intersect_boxes",
@@ -191,29 +190,15 @@ def avoidance_limit(ws: WeightSequence, union: BoxUnion) -> float:
     return math.exp(-intensity(ws, union))
 
 
-@dataclass(frozen=True, eq=False)
-class PointMeasure:
-    """A multi-level collection of wedge points.
+def point_measure(perm) -> dict[int, np.ndarray]:
+    """The scaled cycle point measure of a permutation, as {k: (P, k) array} per occupied level.
 
-    ``n`` is the size of the permutation the measure came from, or 0 for a
-    draw of the limiting process.  ``levels`` maps each occupied level k to
-    the tuple of its points.
+    Row r of level k is the r-th k-cycle, by increasing minimum, divided by n.
     """
-
-    n: int
-    levels: dict[int, tuple[tuple[float, ...], ...]] = field(default_factory=dict)
-
-    def restrict(self, level: int) -> tuple[tuple[float, ...], ...]:
-        return self.levels.get(level, ())
-
-
-def point_measure(perm) -> PointMeasure:
-    """The scaled cycle point measure of a permutation."""
-    n = perm.n
     levels: dict[int, list] = {}
     for c in perm.cycles:
-        levels.setdefault(len(c), []).append(tuple(i / n for i in c))
-    return PointMeasure(n, {k: tuple(v) for k, v in levels.items()})
+        levels.setdefault(len(c), []).append(c)
+    return {k: np.array(v) / perm.n for k, v in levels.items()}
 
 
 def count_by_draw(
@@ -227,14 +212,9 @@ def count_by_draw(
     return np.bincount(draw[union.inside(level, points)], minlength=draws)
 
 
-def count_in(pm: PointMeasure, union: BoxUnion) -> int:
-    """Number of points of the measure inside the union (level-aware)."""
-    total = 0
-    for k in union.levels():
-        if pts := pm.restrict(k):
-            draw = np.zeros(len(pts), dtype=np.intp)
-            total += int(count_by_draw(union, k, np.array(pts, dtype=float), draw, 1)[0])
-    return total
+def count_in(points: dict[int, np.ndarray], union: BoxUnion) -> int:
+    """Number of the points of one draw, {k: (P, k) array}, inside the union (level-aware)."""
+    return sum(int(union.inside(k, points[k]).sum()) for k in union.levels() if k in points)
 
 
 def _limit_slices(ws: WeightSequence, k_max: int, draws: int, gen: np.random.Generator):
@@ -265,17 +245,18 @@ def _limit_slices(ws: WeightSequence, k_max: int, draws: int, gen: np.random.Gen
 
 def simulate_limit_process(
     ws: WeightSequence, k_max: int, rng: RngStream
-) -> PointMeasure:
+) -> dict[int, np.ndarray]:
     """One draw of the limiting Poisson process, truncated to levels <= k_max.
 
     Level k receives Poisson(theta_k / k) points; each point is uniform on
     the cube and rotated smallest-entry-first, which is exactly uniform on
-    the wedge W_k.  This is the one-draw block of ``limit_block_counts``.
+    the wedge W_k.  This is the one-draw block of ``limit_block_counts``, and
+    returns its occupied levels as {k: (P, k) array}, like ``point_measure``.
     """
-    levels: dict[int, tuple] = {}
+    levels: dict[int, np.ndarray] = {}
     for k, _, _, rows in _limit_slices(ws, k_max, 1, rng.gen):
-        levels[k] = levels.get(k, ()) + tuple(map(tuple, rows.tolist()))
-    return PointMeasure(0, levels)
+        levels[k] = np.concatenate([levels[k], rows]) if k in levels else rows
+    return levels
 
 
 def limit_block_counts(

@@ -16,6 +16,7 @@ from permcycles import (
     norm_constants,
     parse_weights,
 )
+from permcycles import cli, harness
 from permcycles.cli import main
 
 # every name and alias of the README's statistic table, with its canonical selector
@@ -211,6 +212,15 @@ def test_exact_rejects_large_n(capsys):
     assert "8" in err
 
 
+def test_exact_names_the_bound_at_a_large_n(capsys):
+    # n! at n = 2000 has more digits than Python formats; the message must not need it
+    code, out, err = _run(
+        capsys, "exact", "--weights", "uniform", "--n", "2000", "--statistic", "count:1"
+    )
+    assert code == 2 and out == ""
+    assert "n <= 8" in err
+
+
 # -------------------------------------------------------------------- limit
 
 
@@ -252,6 +262,14 @@ def test_limit_cdf_where_the_series_failed(capsys):
     assert code == 0 and err == ""
     fs = [float(row.split(",")[1]) for row in out.strip().splitlines()[1:]]
     assert len(fs) == 2 and all(0.0 <= f <= 1e-60 for f in fs)
+
+
+def test_limit_cdf_past_the_poisson_terms_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "limit", "cdf", "--law", "delta", "--theta", "400", "--grid", "0.1:0.9:0.4"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: Poisson(400.0) terms r <= 500 miss")
 
 
 def test_limit_cdf_missing_theta(capsys):
@@ -420,6 +438,36 @@ def test_degenerate_model_exits_2(capsys):
     code, _, err = _run(capsys, "sample", "--weights", "list:0;tail=zero", "--n", "1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text, match", [
+    ("kind = counts\nweights = ewens:1e12\nn = 5\nk_max = 1\nreplicates = 200\n",
+     "pmf for 1-cycles needs"),
+    ("kind = cdf\nstatistic = delta\nweights = ewens:400\nn = 3000\nreplicates = 200\n",
+     "terms r <= 500 miss"),
+])
+def test_experiment_whose_limit_cannot_be_built_exits_2_before_drawing(
+    tmp_path, capsys, monkeypatch, text, match
+):
+    def no_draws(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(harness, "_map_replicates", no_draws)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert match in err
+
+
+def test_an_error_without_a_message_prints_its_type(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "limit_cdf", out_of_memory)
+    code, out, err = _run(capsys, "limit", "cdf", "--law", "S1", "--theta", "1", "--grid", "0:1:1")
+    assert code == 2 and out == ""
+    assert err == "error: MemoryError\n"
 
 
 def test_missing_subcommand_is_usage_error():

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,14 @@ def test_poisson_pmf_covers_large_means():
     assert math.fsum(j * p for j, p in pmf.items()) == pytest.approx(800.0, rel=1e-6)
     with pytest.raises(ValueError):
         _poisson_pmf_dict(math.inf, 1)
+
+
+def test_poisson_pmf_refuses_a_table_past_its_cell_bound():
+    # a mean of 1e12 would need ~1e12 cells; the bound is checked before any is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"Poisson\(1000000000000\.0\) pmf for 1-cycles needs"):
+        _poisson_pmf_dict(1e12, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_poisson_pmf_survives_rounding_at_a_mean_of_a_million():

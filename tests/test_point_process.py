@@ -19,7 +19,6 @@ from permcycles import (
     BoxSpecError,
     BoxUnion,
     PermutationSampler,
-    PointMeasure,
     RngStream,
     WeightSequence,
     avoidance_limit,
@@ -54,6 +53,11 @@ def _reference_contains(box, point):
 def _union_contains(union, level, point):
     """Membership of one point in the union and the wedge W_level, through ``BoxUnion.inside``."""
     return len(point) == level and bool(union.inside(level, np.array([point], dtype=float))[0])
+
+
+def _as_tuples(points):
+    """One draw's {k: (P, k) array} as {k: tuple of point tuples}, for exact comparison."""
+    return {k: tuple(map(tuple, v.tolist())) for k, v in points.items()}
 
 
 def _min_first(point):
@@ -134,21 +138,20 @@ def _random_box(rnd, k):
 
 def test_point_measure_identity_n2():
     pm = point_measure(from_image((1, 2)))
-    assert pm.n == 2
-    assert pm.levels == {1: ((0.5,), (1.0,))}
+    assert _as_tuples(pm) == {1: ((0.5,), (1.0,))}
+    assert pm[1].dtype == np.float64 and pm[1].shape == (2, 1)
 
 
 def test_point_measure_transposition():
     pm = point_measure(from_image((2, 1)))
-    assert pm.levels == {2: ((0.5, 1.0),)}
+    assert _as_tuples(pm) == {2: ((0.5, 1.0),)}
 
 
 def test_point_measure_mixed():
     pm = point_measure(from_image((1, 3, 2)))
-    assert pm.restrict(1) == ((1 / 3,),)
-    assert pm.restrict(2) == ((2 / 3, 1.0),)
-    assert pm.restrict(5) == ()
-    assert sum(len(pts) for pts in pm.levels.values()) == 2
+    assert _as_tuples(pm) == {1: ((1 / 3,),), 2: ((2 / 3, 1.0),)}
+    assert 5 not in pm
+    assert sum(len(pts) for pts in pm.values()) == 2
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**31))
@@ -156,10 +159,14 @@ def test_point_measure_mass_identity(n, seed):
     ws = WeightSequence.ewens(1.5)
     perm = PermutationSampler(ws, norm_constants(ws, 30)).sample(n, RngStream(seed, 0))
     pm = point_measure(perm)
+    # each level holds its cycles by increasing minimum, each entry exactly i / n
+    assert _as_tuples(pm) == {k: tuple(tuple(i / n for i in c) for c in perm.cycles if len(c) == k)
+                              for k in {len(c) for c in perm.cycles}}
     # sum over levels of k * (number of level-k points) recovers n
-    assert sum(k * len(pts) for k, pts in pm.levels.items()) == n
-    for k, pts in pm.levels.items():
-        for p in pts:
+    assert sum(k * len(pts) for k, pts in pm.items()) == n
+    for k, pts in pm.items():
+        assert pts.shape == (len(pts), k) and len(pts) > 0
+        for p in pts.tolist():
             assert len(p) == k
             assert p[0] == min(p)
             # every coordinate sits on the 1/n lattice
@@ -388,8 +395,7 @@ def test_simulate_limit_process_deterministic():
     ws = WeightSequence.ewens(2.0)
     a = simulate_limit_process(ws, 3, RngStream(11, 0))
     b = simulate_limit_process(ws, 3, RngStream(11, 0))
-    assert a.n == 0
-    assert a.levels == b.levels
+    assert a and _as_tuples(a) == _as_tuples(b)
     with pytest.raises(ValueError):
         simulate_limit_process(ws, 0, RngStream(0, 0))
 
@@ -397,7 +403,7 @@ def test_simulate_limit_process_deterministic():
 def test_simulate_limit_process_empty_for_zero_weights():
     ws = WeightSequence.explicit((0.0,), tail="zero")
     pm = simulate_limit_process(ws, 4, RngStream(0, 0))
-    assert pm.levels == {}
+    assert pm == {}
 
 
 def test_simulate_limit_process_level_means():
@@ -408,7 +414,7 @@ def test_simulate_limit_process_level_means():
     for i in range(draws):
         pm = simulate_limit_process(ws, 3, rng)
         for k in (1, 2, 3):
-            counts[i, k - 1] = len(pm.restrict(k))
+            counts[i, k - 1] = len(pm.get(k, ()))
     for k in (1, 2, 3):
         mean = ws.theta(k) / k
         se = math.sqrt(mean / draws)  # Poisson variance equals the mean
@@ -424,7 +430,7 @@ def test_simulate_limit_process_points_are_uniform_on_the_wedge():
     pts = []
     for _ in range(4000):
         pm = simulate_limit_process(ws, 2, rng)
-        pts.extend(pm.restrict(2))
+        pts.extend(_as_tuples(pm).get(2, ()))
     for p in pts:
         assert p[0] == min(p)
     edges = np.linspace(0.0, 1.0, 4)
@@ -457,7 +463,8 @@ def test_simulate_limit_process_matches_per_point_draws():
             cnt = int(gen.poisson(ws.theta(k) / k))
             if cnt:
                 want[k] = tuple(_min_first(tuple(gen.random(k))) for _ in range(cnt))
-        assert got.levels == want
+        assert _as_tuples(got) == want
+        assert all(v.shape == (len(v), k) for k, v in got.items())
 
 
 def test_limit_block_counts_equal_count_in_on_the_blocks_own_points():
@@ -475,7 +482,7 @@ def test_limit_block_counts_equal_count_in_on_the_blocks_own_points():
         for d, c in enumerate(cnt.tolist()):
             if c:
                 levels[d][k] = tuple(_min_first(tuple(next(rows))) for _ in range(c))
-    want = [count_in(PointMeasure(0, lv), union) for lv in levels]
+    want = [count_in({k: np.array(pts) for k, pts in lv.items()}, union) for lv in levels]
     assert got.tolist() == want
     assert min(want) == 0 and max(want) >= 2
 
@@ -487,6 +494,14 @@ def test_limit_block_counts_do_not_depend_on_the_slice_size(monkeypatch):
     monkeypatch.setattr(point_process, "_KERNEL_BLOCK", 64)
     got = limit_block_counts(ws, 2, union, 300, RngStream(3, (1, 2)))
     assert got.tolist() == want.tolist()
+
+
+def test_simulate_limit_process_does_not_depend_on_the_slice_size(monkeypatch):
+    ws = WeightSequence.ewens(40.0)
+    want = simulate_limit_process(ws, 2, RngStream(3, (1, 5)))
+    monkeypatch.setattr(point_process, "_KERNEL_BLOCK", 8)  # 4 level-1 or 2 level-2 points a slice
+    got = simulate_limit_process(ws, 2, RngStream(3, (1, 5)))
+    assert _as_tuples(got) == _as_tuples(want) and len(want[1]) > 8
 
 
 def test_limit_block_memory_stays_bounded_at_large_theta():
@@ -512,7 +527,7 @@ def test_count_in_examples():
     pm = point_measure(from_image((2, 1, 4, 3)))
     # level-2 points: (0.25, 0.5) and (0.75, 1.0)
     union = parse_boxes("box:k=2;0,0.5;0,0.5")
-    assert count_in(pm, union) == 1
+    assert count_in(pm, union) == 1 and type(count_in(pm, union)) is int
     # opening the second upper endpoint expels (0.25, 0.5)
     assert count_in(pm, parse_boxes("box:k=2;0,0.5;0,0.5;open=2")) == 0
     # level-1 boxes see nothing here
@@ -539,12 +554,11 @@ def test_count_in_matches_box_contains_with_open_endpoints():
         # lattice points land on the endpoints; some are not smallest-first
         levels = {k: tuple(tuple(rnd.choice(grid) for _ in range(k)) for _ in range(8))
                   for k in (1, 2, 3)}
-        pm = PointMeasure(0, levels)
         want = sum(
-            1 for k in union.levels() for p in pm.restrict(k)
+            1 for k in union.levels() for p in levels[k]
             if any(_reference_contains(b, p) for b in union.boxes_at(k))
         )
-        assert count_in(pm, union) == want
+        assert count_in({k: np.array(pts) for k, pts in levels.items()}, union) == want
 
 
 # ---------------------------------------------------------------- grammar
