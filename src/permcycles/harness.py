@@ -164,6 +164,10 @@ class ExperimentConfig:
         unknown = sorted(set(mapping) - known)
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.default is dataclasses.MISSING and f.name not in mapping]
+        if missing:
+            raise ValueError(f"config key {missing[0]!r} is missing")
         ints = {f.name for f in dataclasses.fields(cls) if f.metadata["least"] is not None}
         kwargs = {}
         for key, value in mapping.items():

@@ -53,6 +53,8 @@ SAMPLER_VERSION = "cycle lengths, then one uniform permutation cut into blocks (
 # How many remaining sizes a sampler keeps cumulative length laws for; each
 # law is an O(m) array, so an unbounded cache grows to n^2/2 floats.
 _CUM_CACHE_SIZE = 64
+# and the bytes those laws may take, at 8 * (n_max + 1) bytes a law at most
+_CUM_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,16 @@ class PermutationSampler:
     """Reusable sampler for one weight sequence.
 
     Keeps the cumulative length laws of the ``_CUM_CACHE_SIZE`` most recently
-    used remaining sizes, so its memory stays bounded however many
-    permutations it draws.
+    used remaining sizes, and fewer when the table is so long that they could
+    take more than ``_CUM_CACHE_BYTES``, so its memory stays bounded however
+    many permutations it draws.
     """
 
     def __init__(self, ws: WeightSequence, table: NormalizationTable):
         self.ws = ws
         self.table = table
-        self._cumulative = functools.lru_cache(maxsize=_CUM_CACHE_SIZE)(self._cumulative_law)
+        maxsize = max(1, min(_CUM_CACHE_SIZE, _CUM_CACHE_BYTES // (8 * (table.n_max + 1))))
+        self._cumulative = functools.lru_cache(maxsize=maxsize)(self._cumulative_law)
 
     def _cumulative_law(self, m: int) -> np.ndarray:
         return np.cumsum(cycle_length_distribution(self.ws, self.table, m))

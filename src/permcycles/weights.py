@@ -10,8 +10,10 @@ denotes the constant that turns this into a probability measure, with
 
 which is evaluated here as a linear recurrence in floating point: the table
 is kept in blocks, each with its own power-of-two scale, so that rapidly
-growing or decaying weights stay representable, and each step is a few dot
-products.  The table is reported in log scale.  The recurrence itself is
+growing or decaying weights stay representable.  A step is a few dot
+products over recent terms; past the first steps the older terms arrive by
+FFT products, which makes the table O(n log^2 n) and not O(n^2).  The table
+is reported in log scale.  The recurrence itself is
 gated against brute-force enumeration over small symmetric groups in the test
 suite.
 """
@@ -239,6 +241,15 @@ _SPAN_BITS = 498
 _PIECE = 8192
 # a block's terms are dropped when below 2**-_NEGLIGIBLE_BITS of the largest partial sum
 _NEGLIGIBLE_BITS = 1100
+# a range of at most _BASE steps runs one step at a time; a longer one is split in two
+_BASE = 1024
+# Percival (Math. Comp. 72, 2003, Thm 5.1): an FFT product of x and y of size 2**L
+# in binary64, with roots of unity within eps/sqrt(2), eps = 2**-53, errs per entry by
+# at most ||x||_2 ||y||_2 (11.83 L + 2.24) eps to first order, below 12 eps (L + 1).
+# pocketfft is not his radix-2 transform, so this bounds it only in order of size.
+_FFT_ERR = 12 * 2.0 ** -53
+# an h_n whose products' bound exceeds this times max(1, |log h_n|) of it is redone by dots
+_CERTIFIED = 0.5e-13
 
 
 def _theta_blocks(log_theta: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
@@ -270,6 +281,7 @@ def _theta_blocks(log_theta: np.ndarray) -> tuple[np.ndarray, list[int], list[in
     return np.exp(t, out=t), starts, exps
 
 
+
 def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
     """Build the table of normalization constants up to ``n_max``.
 
@@ -283,12 +295,15 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
     blocks meet through ``math.ldexp``: the open block first, then the
     closed ones by decreasing exponent, stopping at the first block whose
     every term is below 2**-_NEGLIGIBLE_BITS of the largest partial sum.
-    A value that leaves its block's range opens a new block.  The cost is
-    O(n_max^2) multiply-adds, about 0.25 s at n_max = 2e4 on a 2-vCPU
-    host.  The pieces add up in a fixed order and, with OpenBLAS,
-    every dot runs in one thread, so the table does not depend on the BLAS
-    thread count; that rests on OpenBLAS's ddot (see ``_PIECE``) and is
-    checked by ``test_norm_constants_do_not_depend_on_blas_threads``.
+    A value that leaves its block's range opens a new block.  With theta in
+    one block, past ``_BASE`` steps a step dots only recent m and gets the
+    rest from FFT products (see ``solve``): O(n_max log^2 n_max), 0.08 s at
+    n_max = 2e4 and 3 s at 1e6 on a 2-vCPU host, where one step at a time
+    takes 0.2 s and, by its n_max^2 law, minutes.  The pieces add up in a
+    fixed order and, with OpenBLAS, every dot runs in one thread, as
+    pocketfft does, so the table does not depend on the BLAS thread count;
+    that rests on OpenBLAS's ddot (see ``_PIECE``) and is checked by
+    ``test_norm_constants_do_not_depend_on_blas_threads``.
     Zero weights contribute exact zeros, so models whose h_n vanish for
     some n (e.g. theta_1 = 0 at n = 1) record -inf there.
     """
@@ -311,7 +326,13 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
     h_starts, h_exps = [0], [0]
     by_exp = []                        # closed blocks of h, largest exponent first
     lo_span, hi_span = 2.0 ** -_SPAN_BITS, 2.0 ** _SPAN_BITS
-    for n in range(1, n_max + 1):
+    # the terms of h_n from the m its step does not read: acc * 2**acc_e, within err * 2**acc_e
+    acc, err = np.zeros(n_max + 1), np.zeros(n_max + 1)
+    acc_e = np.full(n_max + 1, -(1 << 40), dtype=np.int64)
+    one_block = t_exps == [0]          # else step by step: FFT operands would need theta's scales
+
+    def step(n):
+        """h_n by dots over every m."""
         lo, hi = max(0, n - k_last), n - k_first + 1
         b0, b1 = bisect.bisect_right(h_starts, lo) - 1, bisect.bisect_left(h_starts, hi)
         off = n_max - n
@@ -339,7 +360,7 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
                     parts.append((exp, float(total)))
                     top = max(top, exp + math.frexp(total)[1])
         if not parts:
-            continue                   # h_n = 0
+            return                     # h_n = 0
         here = h_exps[-1]
         try:
             value = sum([math.ldexp(s, e - here) for e, s in parts]) / n
@@ -347,13 +368,74 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
             value = math.inf
         if lo_span <= value <= hi_span:
             g[n] = value
-            continue
+            return
         # h_n opens a new block, scaled by its own binary exponent
         mantissa, shift = math.frexp(sum(math.ldexp(s, e - top) for e, s in parts) / n)
         g[n] = mantissa
         bisect.insort(by_exp, len(h_starts) - 1, key=lambda i: -h_exps[i])
         h_starts.append(n)
         h_exps.append(top + shift)
+
+    def convolve(l, mid, r):
+        """Add h_m theta_{n-m} over m in [l, mid) to the accumulators of n in [mid, r)."""
+        r = min(r, n_max + 1)
+        a0 = max(l, mid - k_last)      # theta_k = 0 past k_last: fewer m, k and n
+        k_end = min(k_last + 1, r - a0)
+        stop = min(r, mid + k_end - 1)
+        if stop <= mid or k_end <= k_first:
+            return
+        # entry n - a0 - 1 of a cyclic product of this size holds the terms of n alone
+        size = 1 << (stop - a0 - 2).bit_length()
+        exps = np.asarray(h_exps)[np.searchsorted(h_starts, np.arange(a0, mid), side="right") - 1]
+        s = int(np.max(np.frexp(g[a0:mid])[1] + exps, where=g[a0:mid] > 0, initial=-(1 << 40)))
+        x = np.ldexp(g[a0:mid], exps - s)  # h_m * 2**-s, largest in [1/2, 1); below 2**-1074 is 0
+        y = t[1:k_end]                 # one theta block at exponent 0: within 2**+-_SPAN_BITS
+        p = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
+        p = p[mid - a0 - 1:stop - a0 - 1]
+        e = acc_e[mid:stop]
+        top = np.maximum(e, s)
+        acc[mid:stop] = np.ldexp(acc[mid:stop], e - top) + np.ldexp(p, s - top)
+        bound = _FFT_ERR * size.bit_length() * math.sqrt(np.square(x).sum() * np.square(y).sum())
+        err[mid:stop] = np.ldexp(err[mid:stop], e - top) + np.ldexp(bound, s - top)
+        acc_e[mid:stop] = top
+
+    def solve(l, r):
+        """Fill h_n for n in [l, r), given the terms of every m < l in the accumulators.
+
+        Past _BASE steps, an online convolution (van der Hoeven, J. Symbolic
+        Comput. 2002): solve [l, mid), pass its terms to [mid, r) by one FFT
+        product, solve [mid, r).  Else step n is the accumulated terms plus
+        one dot over m >= l, the sum ``step`` makes without them, if those m
+        are in the open block.  It stands if it stays in the block's range and
+        its bound is certified; else ``step`` redoes it over every m.
+        """
+        if one_block and min(r, n_max + 1) - max(l, 1) > _BASE:
+            mid = (l + r) // 2
+            solve(l, mid)
+            convolve(l, mid, r)
+            solve(mid, r)
+            return
+        start, stop, blocks = max(l, 1), min(r, n_max + 1), 0
+        for n in range(start, stop):
+            lo, hi, i = max(l, n - k_last), n + 1 - k_first, n - start
+            if one_block and h_starts[-1] <= lo:
+                if blocks < len(h_starts):  # the accumulators and bounds in the open block's scale
+                    blocks, here = len(h_starts), h_exps[-1]
+                    with np.errstate(over="ignore"):
+                        level, bound = np.ldexp([acc[start:stop], err[start:stop]],
+                                                acc_e[start:stop] - here)
+                off = n_max - n
+                total = level[i] + (g[lo:hi].dot(rev_t[off + lo:off + hi]) if lo < hi else 0.0)
+                if total == 0 and not err[n]:
+                    continue           # h_n = 0: no terms, and no product reached it
+                value = total / n
+                if lo_span <= value <= hi_span and bound[i] <= _CERTIFIED * total * max(
+                        1.0, abs(math.log(value) + here * math.log(2.0))):
+                    g[n] = value
+                    continue
+            step(n)
+
+    solve(0, _BASE << (n_max // _BASE).bit_length())
     log_h = np.repeat(np.asarray(h_exps, dtype=float), np.diff(h_starts + [n_max + 1]))
     log_h *= math.log(2.0)             # each block's scale, then its mantissas
     with np.errstate(divide="ignore"):

@@ -418,6 +418,18 @@ def test_experiment_bad_config_line(tmp_path, capsys):
     assert ":2:" in err
 
 
+@pytest.mark.parametrize("drop", ["kind", "weights", "n", "replicates"])
+def test_experiment_config_without_a_required_key_exits_2(tmp_path, capsys, drop):
+    keys = {"kind": "counts", "weights": "ewens:1", "n": "5", "replicates": "3"}
+    del keys[drop]
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{drop!r} is missing" in err
+    assert "Traceback" not in err
+
+
 def test_experiment_missing_config_file(tmp_path, capsys):
     code, _, err = _run(capsys, "experiment", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2
@@ -488,6 +500,23 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_small_run_loads_no_fft(tmp_path):
+    # a table of at most weights._BASE steps runs no FFT product, so a
+    # counts_n5-shaped run pays nothing for importing numpy.fft
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("kind = counts\nweights = ewens:1.5\nn = 5\nk_max = 3\n"
+                   "compare = oracle\nreplicates = 200\n")
+    code = ("import contextlib, io, sys; from permcycles.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['experiment', '--config', {str(cfg)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('numpy.fft')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "0 []"
 
 
 def test_running_the_cli_needs_no_scipy(tmp_path):

@@ -272,6 +272,21 @@ def test_length_cache_stays_bounded():
     assert sampler._cumulative.cache_info().misses > 4 * sampler_module._CUM_CACHE_SIZE
 
 
+def test_length_cache_is_bounded_by_bytes(monkeypatch):
+    # with room for 10 laws of 401 floats, the cache keeps 10 of them, not 64
+    monkeypatch.setattr(sampler_module, "_CUM_CACHE_BYTES", 10 * 8 * 401 + 7)
+    ws = WeightSequence.uniform()
+    n = 400
+    sampler = PermutationSampler(ws, norm_constants(ws, n))
+    assert sampler._cumulative.cache_info().maxsize == 10
+    for i in range(50):
+        sampler.sample(n, RngStream(13, i))
+    assert sampler._cumulative.cache_info().currsize == 10
+    # a table too long for even one law still caches the last one
+    monkeypatch.setattr(sampler_module, "_CUM_CACHE_BYTES", 8)
+    assert PermutationSampler(ws, norm_constants(ws, n))._cumulative.cache_info().maxsize == 1
+
+
 def _empirical_vs_exact(ws, n, draws, seed):
     """Max |empirical - exact| over all of S_n, in binomial SE units."""
     table = norm_constants(ws, n)

@@ -1,5 +1,6 @@
 """Weight sequences, the grammar, and normalization constants."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from permcycles import (
     cycle_length_distribution,
     parse_weights,
 )
+from permcycles import weights
 from permcycles.weights import _hurwitz_zeta
 
 
@@ -303,6 +305,87 @@ def test_norm_constants_do_not_depend_on_blas_threads():
                              capture_output=True, text=True)
         digests.append(out.stdout.strip())
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.5, 20.0])
+def test_norm_constants_match_the_ewens_closed_form_at_200k(theta):
+    # h_n = prod_{j <= n} (1 + (theta - 1) / j), summed in log scale exactly rounded
+    n_max = 200000
+    got = norm_constants(WeightSequence.ewens(theta), n_max).log_h
+    terms = [math.log1p((theta - 1.0) / j) for j in range(1, n_max + 1)]
+    checks = {1, 2, 1023, 1024, 1025, 1026, 2047, 2048, 2049, 30001, n_max - 1, n_max}
+    checks |= {int(v) for v in np.geomspace(3, n_max, 30)}
+    for n in sorted(checks):
+        ref = math.fsum(terms[:n])
+        assert abs(got[n] - ref) <= 1e-13 * max(1.0, abs(ref)), n
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [parse_weights("list:0,1;tail=zero"), WeightSequence.explicit([0, 1] * 1000, tail="zero")],
+    ids=["two_cycles", "even_cycles_to_2000"],
+)
+def test_norm_constants_are_exactly_zero_where_no_permutation_has_weight(ws):
+    # only even cycle lengths carry weight, so h_n = 0 exactly at every odd n;
+    # the second's theta reaches k = 2000, past the steps run one at a time
+    got = norm_constants(ws, 20000).log_h
+    assert np.all(np.isneginf(got[1::2]))
+    assert np.all(np.isfinite(got[0::2]))
+    if ws.values == (0.0, 1.0):        # perfect matchings: h_2j = 2**-j / j!
+        j = np.arange(10001)
+        ref = -j * math.log(2.0) - np.array([math.lgamma(v + 1) for v in j])
+        assert np.all(np.abs(got[0::2] - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    else:
+        ref = _log_sum_exp_loop(ws, 3000)
+        small = norm_constants(ws, 3000).log_h
+        assert np.array_equal(np.isneginf(small), np.isneginf(ref))
+        finite = np.isfinite(ref)
+        gap = np.abs(small[finite] - ref[finite])
+        assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+@pytest.mark.parametrize("spec", ["list:1e-200,1e200,1", "poly:1,60", "list:1e-100,1e100,1"])
+def test_norm_constants_keep_far_apart_scales_past_3000_steps(spec):
+    # the last keeps theta in one block while h spans hundreds of them, so the
+    # FFT products take operands over many blocks
+    ws = parse_weights(spec)
+    ref = _log_sum_exp_loop(ws, 3000)
+    got = norm_constants(ws, 3000).log_h
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_norm_constants_redo_the_steps_whose_products_are_not_certified(monkeypatch):
+    # h_n ~ 1e-20 sits far below the products' largest terms (h_0 theta_1 = 1), so
+    # their rounding swamps it; those steps are redone by dots over every m
+    ws = parse_weights("list:1,1e-20")
+    ref = _log_sum_exp_loop(ws, 3000)
+    finite = np.isfinite(ref)
+
+    def gap():
+        got = norm_constants(ws, 3000).log_h
+        return np.abs(got[finite] - ref[finite]) / np.maximum(1.0, np.abs(ref[finite]))
+
+    assert np.all(gap() <= 1e-13)
+    monkeypatch.setattr(weights, "_CERTIFIED", math.inf)
+    with np.errstate(invalid="ignore"):
+        assert not np.all(gap() <= 1e-13)
+
+
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
+        ("uniform", "6ef7cad281b0f497955a2b3ee60c8285fcc186eec9b6aae6d0af7bbb115366de"),
+        ("ewens:1.5", "2bc46fc3acbb76653c9d1f6f9d97d50c2642dbf2c899f4131b92ccc1dcd46f71"),
+        ("poly:1,0.5", "c9c6e6c4bb755950c721fa4bb8c14fa5c0b6c7e8ff03cb3f3bb2a260d34eaccf"),
+        ("list:0,0,1.5;tail=zero",
+         "54b1f0040a12515963db582903a612780b73d76d226eb5b4311261e1ff183cec"),
+    ],
+)
+def test_norm_constants_below_the_base_size_keep_the_one_step_tables_bits(spec, digest):
+    # SHA-256 of the tables the one-step-at-a-time loop built (numpy 2.4, OpenBLAS, x86-64)
+    got = norm_constants(parse_weights(spec), 1000).log_h
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
 
 def test_norm_constants_rejects_negative_n():
