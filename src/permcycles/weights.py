@@ -417,20 +417,22 @@ def norm_constants(ws: WeightSequence, n_max: int) -> NormalizationTable:
             return
         start, stop, blocks = max(l, 1), min(r, n_max + 1), 0
         for n in range(start, stop):
-            lo, hi, i = max(l, n - k_last), n + 1 - k_first, n - start
+            lo = n - k_last if n - k_last > l else l
             if one_block and h_starts[-1] <= lo:
                 if blocks < len(h_starts):  # the accumulators and bounds in the open block's scale
-                    blocks, here = len(h_starts), h_exps[-1]
+                    blocks, log_here = len(h_starts), h_exps[-1] * math.log(2.0)
                     with np.errstate(over="ignore"):
                         level, bound = np.ldexp([acc[start:stop], err[start:stop]],
-                                                acc_e[start:stop] - here)
-                off = n_max - n
-                total = level[i] + (g[lo:hi].dot(rev_t[off + lo:off + hi]) if lo < hi else 0.0)
+                                                acc_e[start:stop] - h_exps[-1]).tolist()
+                hi, off, i = n + 1 - k_first, n_max - n, n - start
+                total = level[i]
+                if lo < hi:
+                    total += float(g[lo:hi].dot(rev_t[off + lo:off + hi]))
                 if total == 0 and not err[n]:
                     continue           # h_n = 0: no terms, and no product reached it
                 value = total / n
-                if lo_span <= value <= hi_span and bound[i] <= _CERTIFIED * total * max(
-                        1.0, abs(math.log(value) + here * math.log(2.0))):
+                if lo_span <= value <= hi_span and (bound[i] <= _CERTIFIED * total or bound[i] <= (
+                        _CERTIFIED * total * abs(math.log(value) + log_here))):
                     g[n] = value
                     continue
             step(n)
