@@ -48,7 +48,7 @@ def sum_of_k_cycles(perm: Permutation, k: int) -> int:
     """Sum of all elements lying on k-cycles (0 when there are none)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return sum(sum(c) for c in perm.cycles if len(c) == k)
+    return sum(sum(c) for c in perm.cycles_of_length(k))
 
 
 def cycle_ranges(perm: Permutation, k: int) -> tuple[int, int]:
@@ -58,7 +58,7 @@ def cycle_ranges(perm: Permutation, k: int) -> tuple[int, int]:
     """
     if k < 2:
         raise ValueError(f"cycle ranges need k >= 2, got {k}")
-    spreads = [max(c) - min(c) for c in perm.cycles if len(c) == k]
+    spreads = [max(c) - min(c) for c in perm.cycles_of_length(k)]
     if not spreads:
         return (perm.n, 0)
     return (min(spreads), max(spreads))
@@ -68,7 +68,7 @@ def fixed_point_summary(perm: Permutation) -> FixedPointSummary:
     """Smallest/largest fixed point and smallest/largest spacing, with conventions."""
     n = perm.n
     # already sorted: cycles come in increasing order of their minima
-    fps = [c[0] for c in perm.cycles if len(c) == 1]
+    fps = [c[0] for c in perm.cycles_of_length(1)]
     if not fps:
         return FixedPointSummary(n + 1, 0, n + 1, n + 1)
     gaps = [fps[0]]
@@ -79,7 +79,7 @@ def fixed_point_summary(perm: Permutation) -> FixedPointSummary:
 
 @dataclass(frozen=True)
 class CycleStatistics:
-    """One permutation's statistics bundle, read off its cycles."""
+    """One permutation's statistics bundle, read off its short cycles."""
 
     n: int
     counts: dict[int, int]
@@ -93,9 +93,9 @@ class CycleStatistics:
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
         counts = dict.fromkeys(range(1, k_max + 1), 0)
-        for c in perm.cycles:
-            if len(c) <= k_max:
-                counts[len(c)] += 1
+        for k in perm.lengths:
+            if k <= k_max:
+                counts[k] += 1
         ranges = {k: cycle_ranges(perm, k) for k in range(2, k_max + 1)}
         return cls(perm.n, counts, {k: sum_of_k_cycles(perm, k) for k in counts},
                    {k: r[0] for k, r in ranges.items()}, {k: r[1] for k, r in ranges.items()},

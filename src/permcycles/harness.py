@@ -299,9 +299,9 @@ def _run_chunk(task):
         out = []
         for perm in _draws(ws, table, n, seed, start, stop):
             row = [0] * k_max
-            for c in perm.cycles:
-                if len(c) <= k_max:
-                    row[len(c) - 1] += 1
+            for k in perm.lengths:
+                if k <= k_max:
+                    row[k - 1] += 1
             out.append(tuple(row))
         return out
     if kind == "stat":
@@ -316,10 +316,10 @@ def _run_chunk(task):
         held: dict[int, list] = {k: [] for k in union.levels()}
         values, last = 0, stop - start - 1
         for d, perm in enumerate(_draws(ws, table, n, seed, start, stop)):
-            for c in perm.cycles:
-                if len(c) in held:
-                    held[len(c)].append((d,) + c)
-                    values += len(c)
+            for k, rows in held.items():
+                for c in perm.cycles_of_length(k):
+                    rows.append((d,) + c)
+                    values += k
             if values < _HELD_VALUES and d < last:
                 continue
             for k, rows in held.items():

@@ -9,8 +9,16 @@ them,
 
 until m reaches 0.  Then one uniform permutation of 1..n is cut into
 consecutive blocks of lengths k_1, k_2, ...; each block, read left to right,
-is one cycle.  The cycles are stored smallest element first, in increasing
-order of their minima.
+is one cycle.
+
+A :class:`Permutation` has two forms.  ``Permutation(n, cycles)`` holds its
+canonical cycles (smallest element first, in increasing order of their
+minima).  A sampled permutation holds the arrangement as drawn and the
+block lengths, and builds its canonical cycles only when they are read.
+Either way ``lengths`` is the multiset of cycle lengths, in draw order for a
+sampled permutation, and ``cycles_of_length(k)`` gives the canonical
+k-cycles; on a sampled permutation it rotates only the blocks of length k,
+so readers of short cycles never canonicalize the whole arrangement.
 
 The weight of a permutation depends only on its cycle type, so given the
 cycle type the weighted measure is uniform on the conjugacy class
@@ -28,8 +36,8 @@ against full enumeration in the test suite.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,18 +65,67 @@ _CUM_CACHE_SIZE = 64
 _CUM_CACHE_BYTES = 64 << 20
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n} stored as its canonical cycles.
+    """A permutation of {1..n}, read through its canonical cycles.
 
-    Each cycle starts at its smallest element and cycles are listed with
-    increasing minima; the constructor takes them in that form, so equal
-    permutations compare and hash equal.  The image,
-    image[i-1] = sigma(i), is derived from the cycles on first use.
+    Canonical cycles start at their smallest element and are listed with
+    increasing minima.  A permutation has one of two forms:
+
+    * ``Permutation(n, cycles)`` takes the canonical cycles themselves;
+    * a sampled permutation holds the arrangement it was drawn as (0-based)
+      and its block lengths, and builds ``cycles`` on first read.
+
+    ``lengths`` is the multiset of cycle lengths: in draw order for a sampled
+    permutation, by increasing minimum otherwise.  Equality and hashing follow
+    ``(n, cycles)``, so equal permutations compare and hash equal whatever
+    their form.  The image, image[i-1] = sigma(i), is derived from the cycles
+    on first use.
     """
 
-    n: int
-    cycles: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, cycles: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.cycles = cycles
+        self.lengths = tuple(map(len, cycles))
+        self._arrangement = None
+
+    @classmethod
+    def _sampled(cls, arrangement: np.ndarray, lengths: tuple[int, ...]) -> "Permutation":
+        perm = cls.__new__(cls)
+        perm.n = len(arrangement)
+        perm.lengths = lengths
+        perm._arrangement = arrangement
+        return perm
+
+    @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical cycles, cut from the drawn arrangement on first read."""
+        starts = [0, *itertools.accumulate(self.lengths[:-1])]
+        return _cut((self._arrangement + 1).tolist(), starts)
+
+    def cycles_of_length(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """The canonical k-cycles, by increasing minimum."""
+        if self._arrangement is None:
+            return tuple(c for c in self.cycles if len(c) == k)
+        arrangement, out, a = self._arrangement, [], 0
+        for m in self.lengths:
+            if m == k:
+                block = [v + 1 for v in arrangement[a:a + k].tolist()]
+                i = block.index(min(block))
+                out.append(tuple(block[i:] + block[:i]))
+            a += m
+        out.sort()                     # minima are distinct: orders by minimum
+        return tuple(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.n == other.n and self.cycles == other.cycles
+
+    def __hash__(self):
+        return hash((self.n, self.cycles))
+
+    def __repr__(self):
+        return f"Permutation(n={self.n!r}, cycles={self.cycles!r})"
 
     @cached_property
     def image(self) -> tuple[int, ...]:
@@ -129,7 +186,7 @@ class PermutationSampler:
         if n > self.table.n_max:
             raise ValueError(f"n={n} outside table range 0..{self.table.n_max}")
         gen = rng.gen
-        starts = []
+        lengths = []
         m = n
         while m:
             cum = self._cumulative(m)
@@ -137,10 +194,10 @@ class PermutationSampler:
             k = int(cum.searchsorted(u, side="right")) + 1
             if k > m:                      # guard the u ~ cum[-1] rounding edge
                 k = m
-            starts.append(n - m)
+            lengths.append(k)
             m -= k
 
-        return Permutation(n, _cut((gen.permutation(n) + 1).tolist(), starts))
+        return Permutation._sampled(gen.permutation(n), tuple(lengths))
 
 
 def _cut(arrangement: list[int], starts: list[int]) -> tuple[tuple[int, ...], ...]:

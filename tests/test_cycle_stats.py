@@ -20,6 +20,7 @@ from permcycles import (
     norm_constants,
     sum_of_k_cycles,
 )
+from permcycles import cycle_stats
 from permcycles.cycle_stats import STATISTICS, parse_statistic
 from permcycles.limit_laws import LAW_NAMES
 from permcycles.oracle import exact_statistic_distribution
@@ -177,6 +178,31 @@ def test_bundle_matches_individual_functions(n, seed):
         assert (stats.min_range[k], stats.max_range[k]) == cycle_ranges(perm, k)
     assert stats.fixed == fixed_point_summary(perm)
     assert stats.n == n
+
+
+_REDUCED = ("S1", "minrange:2", "minrange:3", "maxrange:2", "maxrange:3", "m", "M",
+            "delta", "Delta")
+
+
+@pytest.mark.parametrize("ws", [WeightSequence.ewens(0.5), WeightSequence.uniform()],
+                         ids=["ewens:0.5", "uniform"])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_reducers_read_a_sampled_permutation_as_its_canonical_cycles(ws, n):
+    # a sampled permutation answers from its arrangement and lengths; the
+    # canonical form from its cycles, with the no-k-cycle conventions on both
+    parsed = [parse_statistic(text) for text in _REDUCED]
+    assert {e.name for e, _ in parsed} == {e.name for e in STATISTICS if e.reducer}
+
+    def reduced(perm):
+        return [getattr(cycle_stats, e.reducer)(perm, *(() if k is None else (k,)))
+                for e, k in parsed] + [CycleStatistics.from_permutation(perm, 3)]
+
+    sampler = PermutationSampler(ws, norm_constants(ws, n))
+    for i in range(200):
+        perm = sampler.sample(n, RngStream(31, i))
+        got = reduced(perm)
+        assert "cycles" not in perm.__dict__
+        assert got == reduced(Permutation(n, perm.cycles))
 
 
 # ------------------------------------------------------------------ registry

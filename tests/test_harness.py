@@ -12,7 +12,8 @@ import pytest
 
 from perms import from_image
 import permcycles
-from permcycles import harness, oracle
+from permcycles import cli, harness, oracle
+from permcycles import sampler as sampler_module
 from permcycles import (
     ExperimentConfig,
     ExperimentReport,
@@ -498,6 +499,30 @@ def test_avoid_chunk_counts_match_count_in_per_draw(monkeypatch):
             for i in range(300)]
     assert got == want
     assert min(want) == 0 and max(want) >= 2
+
+
+def test_chunks_read_short_cycles_without_building_all_cycles(monkeypatch, capsys):
+    # counts, statistics and avoidance read lengths and k-cycles only; the full
+    # canonical cycles are built for a reader that prints them all
+    def no_cut(arrangement, starts):
+        raise AssertionError("full canonical cycles built on the per-draw path")
+
+    cut = sampler_module._cut
+    monkeypatch.setattr(sampler_module, "_cut", no_cut)
+    ws = parse_weights("ewens:1.5")
+    table = norm_constants(ws, 300)
+    tasks = [("counts", ws, table, 300, 5, 3, 0, 40)]
+    tasks += [("stat", ws, table, 300, 5, statistic, 0, 40)
+              for statistic in ("delta", "S1", "minrange:2")]
+    boxes = "box:k=1;0,0.3;box:k=2;0.2,0.9;0.1,0.6;box:k=3;0,1;0,0.5;0.5,1"
+    tasks.append(("avoid", ws, table, 300, 5, boxes, 0, 40))
+    for task in tasks:
+        assert len(harness._run_chunk(task)) == 40
+
+    calls = []
+    monkeypatch.setattr(sampler_module, "_cut", lambda *a: calls.append(a) or cut(*a))
+    assert cli.main(["sample", "--weights", "ewens:2", "--n", "6", "--count", "3"]) == 0
+    assert len(calls) == 3 and capsys.readouterr().out.count("\n") == 3
 
 
 def test_draws_mid_run_equal_fresh_stream_samples():

@@ -14,6 +14,7 @@ from perms import from_cycles, from_image, identity
 from permcycles import sampler as sampler_module
 from permcycles import (
     DegenerateModelError,
+    Permutation,
     PermutationSampler,
     RngStream,
     WeightSequence,
@@ -150,7 +151,8 @@ def test_cut_reaches_each_permutation_of_the_cycle_type_equally_often():
     # every composition of n <= 6 (block lengths k_1, k_2, ... in draw order)
     # against all n! arrangements, 25 181 cases: each permutation of the
     # composition's cycle type is hit prod_j k_j * prod_l c_l! times, and no
-    # other permutation at all
+    # other permutation at all.  The sampled form of each case (arrangement
+    # and lengths, cycles built on first read) reads the same cycles.
     cases = 0
     for n in range(1, 7):
         for cuts in itertools.product((False, True), repeat=n - 1):
@@ -159,8 +161,16 @@ def test_cut_reaches_each_permutation_of_the_cycle_type_equally_often():
             hits = collections.Counter()
             for arrangement in itertools.permutations(range(1, n + 1)):
                 cycles = sampler_module._cut(list(arrangement), starts)
-                assert from_cycles(n, cycles).cycles == cycles  # canonical and a partition
+                canonical = from_cycles(n, cycles)
+                assert canonical.cycles == cycles  # canonical and a partition
                 hits[cycles] += 1
+                sampled = Permutation._sampled(np.array(arrangement) - 1, tuple(lengths))
+                for k in range(1, n + 1):
+                    assert sampled.cycles_of_length(k) == tuple(c for c in cycles if len(c) == k)
+                assert "cycles" not in sampled.__dict__  # short cycles left them unbuilt
+                assert sorted(sampled.lengths) == sorted(map(len, cycles))
+                assert sampled.cycles == cycles
+                assert sampled == canonical and hash(sampled) == hash(canonical)
             multiplicity = collections.Counter(lengths)
             ways = math.prod(lengths) * math.prod(math.factorial(c) for c in multiplicity.values())
             class_size = math.factorial(n) // math.prod(
